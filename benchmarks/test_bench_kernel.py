@@ -12,15 +12,13 @@ import numpy as np
 import pytest
 from conftest import _RECORDS, mean_seconds, record_bench
 
-from repro.core import Resource, Simulator
-from repro.core import instrument, trace
+from repro.core import Resource, Simulator, trace
 from repro.core.queueing import (
     bounded_waits,
     lindley_waits,
     simulate_batch_server,
     simulate_gg1,
 )
-from repro.core.rng import RandomStreams
 from repro.functions.compression import deflate
 from repro.functions.regex.rulesets import compile_ruleset
 from repro.workloads import make_compression_input
@@ -119,29 +117,6 @@ def test_batch_server(benchmark):
     record_bench("kernel", "batch_server", seconds_mean=seconds,
                  requests=20_000,
                  requests_per_sec=20_000 / seconds if seconds else None)
-
-
-def test_sweep_probe_count(benchmark):
-    """Warm-started vs cold sweep: record how many probes the analytic
-    estimate saves on a fig4 smoke pair (the benchmark clock times the
-    warm search; the interesting numbers are the probe counts)."""
-    from repro.experiments.measurement import sweep_operating_rate
-    from repro.experiments.profiles import get_profile
-
-    profile = get_profile("udp:64", samples=60)
-    instrument.reset()
-    warm = benchmark.pedantic(
-        sweep_operating_rate, args=(profile, "host", RandomStreams(1)),
-        kwargs={"n_requests": 20_000, "warm": True}, rounds=1, iterations=1)
-    saved = instrument.value(instrument.PROBES_SAVED)
-    cold = sweep_operating_rate(profile, "host", RandomStreams(1),
-                                n_requests=20_000, warm=False)
-    record_bench("kernel", "sweep_probes",
-                 probes_warm=len(warm.probes), probes_cold=len(cold.probes),
-                 probes_saved=saved,
-                 max_rate_warm=warm.max_rate, max_rate_cold=cold.max_rate)
-    assert len(warm.probes) < len(cold.probes)
-    assert saved > 0
 
 
 def test_trace_disabled_overhead(benchmark):

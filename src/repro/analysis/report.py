@@ -252,11 +252,10 @@ def render_report(anchor_rows: Sequence[AnchorRow], verdict_text: str,
         "queueing/power/price models; **deviation** = a known, documented",
         "mismatch.",
         "",
-        "The CLI footer's `probes: N simulated, M analytic, K saved` splits",
-        "the rate probes by how they were answered: simulated through the",
-        "queueing kernels, served by the validated analytic fast path",
-        "(DESIGN.md §14), or avoided outright by a warm-started sweep",
-        "(DESIGN.md §9).  Analytic answers are only reported inside a",
+        "The CLI footer's `probes: N simulated, M analytic` splits the rate",
+        "probes by how they were answered: simulated through the queueing",
+        "kernels, or served by the validated analytic fast path (DESIGN.md",
+        "§14).  Analytic answers are only reported inside a",
         "simulation-validated trust region, far from the knee; every",
         "verdict-deciding quantity below is simulation-backed, and",
         "`--engine sim` simulates every probe, keeping each measured",

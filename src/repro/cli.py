@@ -487,8 +487,7 @@ def _print_footer(started: float,
     parts = [
         f"{time.time() - started:.1f}s",
         f"probes: {instrument.value(instrument.PROBES_SIMULATED)} simulated, "
-        f"{instrument.value(instrument.ANALYTIC_HITS)} analytic, "
-        f"{instrument.value(instrument.PROBES_SAVED)} saved",
+        f"{instrument.value(instrument.ANALYTIC_HITS)} analytic",
         f"cache {instrument.value(instrument.CACHE_HITS)} hit / "
         f"{instrument.value(instrument.CACHE_MISSES)} miss",
         f"kernel {instrument.value(instrument.EVENTS_SCHEDULED)} sched / "
@@ -501,8 +500,8 @@ def _print_footer(started: float,
     from .obs import metrics as obs_metrics
 
     shown = {instrument.PROBES, instrument.PROBES_SIMULATED,
-             instrument.ANALYTIC_HITS, instrument.PROBES_SAVED,
-             instrument.CACHE_HITS, instrument.CACHE_MISSES,
+             instrument.ANALYTIC_HITS, instrument.CACHE_HITS,
+             instrument.CACHE_MISSES,
              instrument.EVENTS_SCHEDULED, instrument.EVENTS_FIRED}
     registry_counters = obs_metrics.registry().counter_values()
     parts.extend(f"{name} {value}"

@@ -7,23 +7,19 @@ from .analytic import (
     mg1_wait_mean,
     mmc_wait_mean,
     sharded_capacity,
-    slo_capacity,
 )
 from .cache import CODE_VERSION, ResultCache, cache_key
-from .closedloop import ClosedLoopResult, simulate_closed_loop
 from .engine import Event, Process, Simulator, SimulationError, Timeout
 from .executor import ParallelExecutor, WorkUnit
 from .metrics import (
     LatencyRecorder,
     LatencySummary,
-    P2Quantile,
     RunMetrics,
     ThroughputMeter,
     summarize_samples,
 )
 from .resources import Resource, Store
 from .rng import RandomStreams
-from .sweep import SweepResult, find_max_sustainable_rate, rate_response_curve
 from .trace import TraceEvent, TraceRecorder, export_chrome, export_jsonl
 
 __all__ = [
@@ -33,12 +29,9 @@ __all__ = [
     "mg1_wait_mean",
     "mmc_wait_mean",
     "sharded_capacity",
-    "slo_capacity",
     "CODE_VERSION",
     "ResultCache",
     "cache_key",
-    "ClosedLoopResult",
-    "simulate_closed_loop",
     "Event",
     "Process",
     "Simulator",
@@ -52,12 +45,8 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "ThroughputMeter",
-    "P2Quantile",
     "RunMetrics",
-    "SweepResult",
     "summarize_samples",
-    "find_max_sustainable_rate",
-    "rate_response_curve",
     "TraceEvent",
     "TraceRecorder",
     "export_chrome",

@@ -1,31 +1,28 @@
-"""Closed-form queueing estimators used to warm-start rate sweeps.
+"""Closed-form queueing estimators behind the rate ladders.
 
-A rate sweep (`core.sweep.find_max_sustainable_rate`) probes a simulator
-at a sequence of offered rates; each probe is cheap but not free, and a
-cold search spends most of its probes discovering the order of magnitude
-of the answer.  Standard queueing theory predicts that answer well
-enough to start the search within a few percent of it:
+The measurement layer (`experiments.measurement`) uses these for two
+things:
 
-* **M/M/c** (Erlang C): a ``cores``-way RSS-sharded CPU platform at
-  offered rate R is c independent M/G/1 shards; the aggregate behaves
-  like an M/M/c system whose waiting probability and mean wait have the
-  classic closed forms.
-* **M/G/1** (Pollaczeck–Khinchine): one shard with a general service
-  distribution (mean + squared coefficient of variation) has an exact
-  mean wait and a well-known exponential tail approximation, which
-  gives an analytic p99 — good enough to bracket SLO-constrained
-  sweeps.
+* **Ladder anchors.** :func:`sharded_capacity` and
+  :func:`batch_capacity` give the saturation rate of a CPU platform and
+  of an accelerator; the fixed knee-search ladder (``LADDER_FACTORS``)
+  is laid out as multiples of that anchor.
+* **Hybrid predictions.** Under the hybrid engine, rungs far from the
+  knee are answered per RSS shard by the M/G/1 (Pollaczek–Khinchine)
+  mean wait and its exponential-tail p99 instead of a simulation, but
+  only inside a trust region the simulated rungs validated.
 
-These are *estimators*: the sweep still verifies every reported number
-by simulation.  The estimate only decides where probing starts, so a
-bad estimate costs extra probes, never a wrong answer (see
-``find_max_sustainable_rate(warm_start=...)``).
+The M/M/c closed forms (:func:`erlang_c`, :func:`mmc_wait_mean`) are
+the oracle the M/G/1 mean wait is tested against at exponential
+service.
+
+These are *estimators*: every verdict-deciding number is still
+simulated.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 __all__ = [
     "erlang_c",
@@ -34,7 +31,6 @@ __all__ = [
     "mg1_sojourn_p99",
     "sharded_capacity",
     "batch_capacity",
-    "slo_capacity",
 ]
 
 
@@ -89,8 +85,8 @@ def mg1_sojourn_p99(rate: float, service_mean: float, service_scv: float) -> flo
 
     Uses the standard exponential-tail approximation
     P(W > t) ~= rho * exp(-t / (W_mean / rho)) with the P-K mean wait,
-    plus the mean service.  An estimator for sweep warm starts, not a
-    reported number.
+    plus the mean service.  Used only for hybrid-engine rungs inside a
+    simulation-validated trust region.
     """
     rho = rate * service_mean
     if rho >= 1.0:
@@ -126,34 +122,3 @@ def batch_capacity(setup_time: float, per_item_time: float, max_batch: int) -> f
     if denominator <= 0:
         raise ValueError("degenerate batch timing")
     return 1.0 / denominator
-
-
-def slo_capacity(
-    service_mean: float,
-    service_scv: float,
-    cores: int,
-    slo_p99: Optional[float],
-    floor_fraction: float = 1e-3,
-) -> float:
-    """Highest rate whose *analytic* p99 sojourn meets ``slo_p99``.
-
-    Bisects the monotone M/G/1 tail approximation per shard (offered
-    rate splits evenly over ``cores``).  With no SLO this is just the
-    stability capacity.  Pure arithmetic — no simulation probes.
-    """
-    capacity = sharded_capacity(service_mean, cores)
-    if slo_p99 is None:
-        return capacity
-    if mg1_sojourn_p99(capacity * floor_fraction / cores, service_mean,
-                       service_scv) > slo_p99:
-        # Even a near-idle system misses the SLO (service itself is too
-        # slow); report the floor so the sweep can verify and give up.
-        return capacity * floor_fraction
-    lo, hi = capacity * floor_fraction, capacity
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mg1_sojourn_p99(mid / cores, service_mean, service_scv) <= slo_p99:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -46,10 +46,6 @@ class HybridConfig:
     only after the window-edge simulations agreed with the analytic
     prediction (see ``measurement._knee_hybrid``).
 
-    ``rate_margin`` shrinks the trusted region when the sweep answers
-    ad-hoc rates analytically: a rate must clear the validated edge by
-    this relative margin before the simulation is skipped.
-
     ``p99_tolerance`` is the maximum relative |sim - analytic| p99
     disagreement at the low spot-check under which analytic *latency*
     is trusted; it only ever gates SLO-bounded probes — throughput
@@ -58,7 +54,6 @@ class HybridConfig:
 
     sim_window_lo: float = 0.78
     sim_window_hi: float = 1.12
-    rate_margin: float = 0.02
     p99_tolerance: float = 0.35
 
 

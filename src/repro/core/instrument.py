@@ -3,16 +3,15 @@
 The experiment stack counts cheap, coarse things — rate probes run,
 cache hits, kernel events, trace-buffer evictions — so the CLI can
 report what a command actually did.  Counters are keyed by *any* dotted
-name (the well-known names below are just constants); the parallel
-executor snapshots them around each work unit in the worker process and
-ships the delta back, so parent-side totals are identical whether a
-study ran with ``--jobs 1`` or ``--jobs N``.
+name (the well-known names below are just constants).
 
-Since the typed metric registry landed (:mod:`repro.obs.metrics`), this
-module is a thin back-compat shim over the default registry's counters:
-the dict-of-ints API every call site and test uses is preserved exactly,
-while the same counters also appear in OpenMetrics exposition
-(``--metrics-out``, ``--metrics-port``) alongside gauges and histograms.
+This module is a thin shim over the default registry of
+:mod:`repro.obs.metrics`: the same counters also appear in OpenMetrics
+exposition (``--metrics-out``, ``--metrics-port``) alongside gauges and
+histograms.  Per-unit deltas across worker processes go through that
+registry's snapshot/delta/merge protocol (see
+:mod:`repro.core.executor`), so parent-side totals are identical
+whether a study ran with ``--jobs 1`` or ``--jobs N``.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ from typing import Dict
 from ..obs import metrics as _metrics
 
 PROBES = "probes"
-# Probes an analytic warm start avoided versus the equivalent cold
-# search (an estimate: the cold control flow replayed against the found
-# rate) — see core.sweep.find_max_sustainable_rate(warm_start=...).
-PROBES_SAVED = "probe.saved"
 # Hybrid engine accounting (DESIGN.md "Hybrid probe engine"): every
 # probe evaluation increments PROBES; PROBES_SIMULATED counts the ones
 # actually run through a queueing kernel, ANALYTIC_HITS the ones served
@@ -79,21 +74,6 @@ def value(name: str) -> int:
 def snapshot() -> Dict[str, int]:
     """A copy of every counter (used to compute per-unit deltas)."""
     return _metrics.registry().counter_values()
-
-
-def delta_since(before: Dict[str, int]) -> Dict[str, int]:
-    """Counter increments since ``before`` (a prior :func:`snapshot`)."""
-    return {
-        name: count - before.get(name, 0)
-        for name, count in _metrics.registry().counter_values().items()
-        if count != before.get(name, 0)
-    }
-
-
-def merge(delta: Dict[str, int]) -> None:
-    """Fold a worker-side delta into this process's counters."""
-    for name, amount in delta.items():
-        increment(name, amount)
 
 
 def reset() -> None:

@@ -44,7 +44,6 @@ from ..core.queueing import (
     simulate_sharded_ladder,
 )
 from ..core.rng import RandomStreams
-from ..core.sweep import SweepResult, find_max_sustainable_rate
 from ..core.units import gbps_to_bytes_per_second
 from ..power.energy import EnergyReport
 from ..power.models import ComponentLoad, ServerPowerModel, SnicPowerModel
@@ -593,14 +592,12 @@ def _analytic_metrics(
 # ---------------------------------------------------------------------------
 
 
-def estimate_capacity_rps(
-    profile: FunctionProfile, platform: str, slo_p99: Optional[float] = None
-) -> float:
+def estimate_capacity_rps(profile: FunctionProfile, platform: str) -> float:
     """Analytic capacity estimate (see :mod:`repro.core.analytic`).
 
-    Used both to anchor the deterministic knee ladder and to warm-start
-    rate sweeps.  With ``slo_p99`` the M/G/1 tail approximation lowers
-    the estimate to the rate whose analytic p99 meets the SLO.
+    Anchors the deterministic knee ladder (its rungs are
+    ``LADDER_FACTORS`` times this rate) and the offload advisor's
+    capacity predictions.
     """
     if platform == ACCEL_PLATFORM:
         engine = ACCELERATORS[profile.accel_engine]
@@ -608,14 +605,11 @@ def estimate_capacity_rps(
             engine.setup_latency_s, accel_per_item_seconds(profile),
             engine.max_batch,
         )
-    services = cpu_service_seconds(profile, platform)
-    mean_service = float(np.mean(services))
+    mean_service = float(np.mean(cpu_service_seconds(profile, platform)))
     if mean_service <= 0:
         raise MeasurementError(f"degenerate service time for {profile.key}")
-    scv = float(np.var(services)) / (mean_service**2)
-    return analytic.slo_capacity(
-        mean_service, scv, cpu_cores(profile, platform), slo_p99
-    )
+    return analytic.sharded_capacity(mean_service,
+                                     cpu_cores(profile, platform))
 
 
 def run_validated_ladder(
@@ -974,115 +968,6 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         for index in range(len(ladder))
     ]
     return _select_knee(ladder, rung_metrics, slo_p99)
-
-
-def sweep_operating_rate(
-    profile: FunctionProfile,
-    platform: str,
-    streams: Optional[RandomStreams] = None,
-    n_requests: int = 20_000,
-    slo_p99: Optional[float] = None,
-    tolerance: float = 0.02,
-    warm: bool = True,
-    engine: Optional[str] = None,
-) -> SweepResult:
-    """Probe-verified maximum sustainable rate for one (function, platform).
-
-    Unlike :func:`measure_operating_point`'s fixed 12-rung ladder (kept
-    deterministic so the figure numbers are stable), this runs the
-    adaptive bisection search of :func:`find_max_sustainable_rate` —
-    warm-started from the analytic capacity estimate when ``warm`` is
-    True, which typically halves the probe count (the savings show up
-    in the CLI footer as ``probe.saved``).
-
-    Under the hybrid engine, probes far enough outside a *previously
-    validated* trust region (see :func:`measure_operating_point`) are
-    answered analytically; every probe near the boundary — everything
-    the bisection actually decides on — is still simulated, so the
-    returned rate is identical with the hybrid engine on or off.  If
-    the search settles on an analytically answered probe, that rate is
-    re-simulated so the reported metrics stay simulation-backed.
-    """
-    engine = hybrid.resolve_engine(engine)
-    streams = streams or RandomStreams()
-    estimate = min(
-        estimate_capacity_rps(profile, platform, slo_p99), _nic_cap_rps(profile)
-    )
-
-    def simulate_at(rate: float) -> RunMetrics:
-        return run_fixed_rate(profile, platform, rate, streams, n_requests)
-
-    run_at = simulate_at
-    if engine == hybrid.ENGINE_HYBRID:
-        anchor = min(estimate_capacity_rps(profile, platform),
-                     _nic_cap_rps(profile))
-        found, record = get_cache().get(
-            _trust_key(profile, platform, n_requests, streams.root_seed,
-                       float(anchor)),
-            count=False)
-        if found and isinstance(record, TrustRecord) and anchor > 0:
-            run_at = _trusted_run_at(profile, platform, anchor, record,
-                                     slo_p99, simulate_at, n_requests)
-
-    result = find_max_sustainable_rate(
-        run_at,
-        low_rate=estimate * 0.05,
-        high_rate=estimate * 2.0,
-        slo_p99=slo_p99,
-        tolerance=tolerance,
-        warm_start=estimate if warm else None,
-    )
-    if result.metrics.extra.get("probe.analytic"):
-        # The best probe was served analytically (it sat deep inside the
-        # trusted region); re-simulate it at the same rate — same
-        # substream as the pure-simulation path — so the reported
-        # metrics are measurements, not predictions.
-        result = SweepResult(
-            max_rate=result.max_rate,
-            metrics=simulate_at(result.metrics.offered_rate),
-            probes=result.probes,
-        )
-    return result
-
-
-def _trusted_run_at(profile, platform, anchor, record: TrustRecord,
-                    slo_p99, simulate_at, n_requests):
-    """A sweep probe that skips simulation deep inside the trust region.
-
-    Acceptance is only answered analytically below the validated low
-    edge (minus the rate margin), rejection only above the validated
-    high edge (plus the margin); with an SLO bound, a probe is skipped
-    only when the analytic p99 is decisively on one side of the bound
-    given the recorded model error.  Everything else — in particular
-    every rate the bisection narrows onto — is simulated.
-    """
-    cfg = hybrid.config()
-
-    def run_at(rate: float) -> RunMetrics:
-        factor = rate / anchor
-        below = (record.low_factor is not None
-                 and factor <= record.low_factor * (1.0 - cfg.rate_margin))
-        above = (record.high_factor is not None
-                 and factor >= record.high_factor * (1.0 + cfg.rate_margin))
-        if not below and not above:
-            return simulate_at(rate)
-        prediction = predict_fixed_rate(profile, platform, rate, n_requests)
-        if below and slo_p99 is not None:
-            # Latency gates acceptance: skip only when the analytic p99
-            # is decisively clear of (or past) the SLO.
-            if not record.p99_trusted:
-                return simulate_at(rate)
-            margin = max(record.p99_rel_err, cfg.p99_tolerance)
-            p99 = prediction.latency_p99
-            decisive = (p99 * (1.0 + margin) <= slo_p99
-                        or p99 * (1.0 - margin) > slo_p99)
-            if not decisive:
-                return simulate_at(rate)
-        instrument.increment(instrument.PROBES)
-        instrument.increment(instrument.ANALYTIC_HITS)
-        return prediction
-
-    return run_at
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Cryptography functions (the PKA algorithm families, §2.2 A2):
-AES-128, SHA-1, RSA, DSA, and elliptic-curve (ECDSA over P-256)."""
+AES-128, SHA-1 and RSA."""
 
-from . import aes, dsa, ecc, rsa, sha1
+from . import aes, rsa, sha1
 
-__all__ = ["aes", "dsa", "ecc", "rsa", "sha1"]
+__all__ = ["aes", "rsa", "sha1"]

@@ -1,11 +1,10 @@
-"""Networking stacks: packets, links, UDP, TCP, DPDK, RDMA."""
+"""Networking stacks: packets, links, UDP, TCP, DPDK."""
 
 from .link import DuplexChannel, GilbertElliottLoss, Link
 from .packet import Flow, Packet, format_ip, ip
 from .udp import UdpEndpoint, UdpSocket, run_echo_server
 from .tcp import TcpConnection, TcpEndpoint, TcpListener, TcpState
 from .dpdk import PollModePort, RxRing, run_poll_loop
-from .rdma import Completion, MemoryRegion, OpCode, QueuePair, RdmaError, RdmaNic
 
 __all__ = [
     "DuplexChannel",
@@ -25,10 +24,4 @@ __all__ = [
     "PollModePort",
     "RxRing",
     "run_poll_loop",
-    "Completion",
-    "MemoryRegion",
-    "OpCode",
-    "QueuePair",
-    "RdmaError",
-    "RdmaNic",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the closed-form queueing estimators behind warm starts."""
+"""Tests for the closed-form queueing estimators behind the rate ladders."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.core.analytic import (
     mg1_wait_mean,
     mmc_wait_mean,
     sharded_capacity,
-    slo_capacity,
 )
 from repro.core.queueing import simulate_gg1
 
@@ -79,8 +78,7 @@ class TestMG1:
 
     def test_p99_estimate_tracks_simulation(self):
         # The tail approximation should land within ~35% of a simulated
-        # M/M/1 p99 at moderate load — close enough to warm-start a
-        # sweep, which is all it is for.
+        # M/M/1 p99 at moderate load — the hybrid engine's p99_tolerance.
         rate, service = 700.0, 1e-3
         outcome = simulate_gg1(
             rate, lambda r, n: r.exponential(service, size=n),
@@ -109,27 +107,3 @@ class TestCapacities:
             batch_capacity(1e-3, 1e-5, 0)
         with pytest.raises(ValueError):
             batch_capacity(0.0, 0.0, 8)
-
-
-class TestSloCapacity:
-    def test_no_slo_returns_stability_capacity(self):
-        assert slo_capacity(1e-3, 1.0, 4, None) == pytest.approx(4_000.0)
-
-    def test_slo_bound_lowers_capacity(self):
-        unconstrained = slo_capacity(1e-3, 1.0, 4, None)
-        constrained = slo_capacity(1e-3, 1.0, 4, slo_p99=5e-3)
-        assert 0 < constrained < unconstrained
-
-    def test_loose_slo_approaches_stability(self):
-        loose = slo_capacity(1e-3, 1.0, 4, slo_p99=10.0)
-        assert loose == pytest.approx(4_000.0, rel=1e-2)
-
-    def test_capacity_found_meets_the_slo(self):
-        slo = 4e-3
-        capacity = slo_capacity(1e-3, 1.0, 4, slo_p99=slo)
-        assert mg1_sojourn_p99(capacity / 4, 1e-3, 1.0) <= slo
-
-    def test_impossible_slo_returns_floor(self):
-        # SLO below the bare service time: nothing can meet it.
-        capacity = slo_capacity(1e-3, 1.0, 4, slo_p99=1e-5)
-        assert capacity == pytest.approx(4_000.0 * 1e-3)

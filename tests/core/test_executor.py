@@ -9,6 +9,7 @@ bytes whether they run in-process or in a worker pool.
 from __future__ import annotations
 
 import io
+import signal
 
 import pytest
 
@@ -236,7 +237,7 @@ class TestSerialBypass:
     def test_single_core_bypasses_pool(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
         executor = ParallelExecutor(jobs=4)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(6)]
@@ -246,7 +247,7 @@ class TestSerialBypass:
     def test_tiny_batches_bypass_after_first_estimate(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 4)
         executor = ParallelExecutor(jobs=2)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(4)]
@@ -261,7 +262,7 @@ class TestSerialBypass:
     def test_knob_disables_bypass(self, monkeypatch):
         import repro.core.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: 1)
         executor = ParallelExecutor(jobs=2, serial_bypass=False)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(4)]
@@ -477,6 +478,65 @@ class TestMapSupervised:
         assert failure.kind == UnitFailure.ERROR
         assert failure.error_type == "RuntimeError"
 
+
+
+def _spin(seconds):
+    """A pure-Python busy loop: SIGALRM can interrupt it between bytecodes."""
+    import time as _time
+
+    deadline = _time.perf_counter() + seconds
+    while _time.perf_counter() < deadline:
+        pass
+
+
+class TestSupervisedInProcessFallback:
+    """``_map_supervised_inprocess``: batches holding a lambda cannot be
+    pickled, so ``map_supervised`` runs them in this process under the
+    same typed-failure contract."""
+
+    def test_results_in_submission_order(self):
+        units = [WorkUnit(name=f"l{i}", fn=lambda v: v * 10, args=(i,))
+                 for i in range(5)]
+        executor = ParallelExecutor(jobs=2)
+        assert executor.map_supervised(units) == [0, 10, 20, 30, 40]
+        assert executor.fallbacks == 1
+
+    def test_raising_unit_is_a_record_and_batchmates_finish(self):
+        from repro.core.executor import UnitFailure
+
+        units = [
+            WorkUnit(name="before", fn=lambda: 1),
+            WorkUnit(name="boom", fn=lambda: _raise_value_error("bad input")),
+            WorkUnit(name="after", fn=lambda: 3),
+        ]
+        executor = ParallelExecutor(jobs=2)
+        before, failure, after = executor.map_supervised(units)
+        assert (before, after) == (1, 3)
+        assert isinstance(failure, UnitFailure)
+        assert failure.kind == UnitFailure.ERROR
+        assert failure.error_type == "ValueError"
+        assert failure.message == "bad input"
+        assert executor.fallbacks == 1
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                        reason="needs SIGALRM interval timers")
+    def test_busy_loop_times_out_through_sigalrm(self):
+        from repro.core.executor import UnitFailure
+
+        units = [
+            WorkUnit(name="spin", fn=lambda: _spin(30.0)),
+            WorkUnit(name="quick", fn=lambda: 7),
+        ]
+        executor = ParallelExecutor(jobs=2)
+        failure, ok = executor.map_supervised(units, unit_timeout_s=0.2)
+        assert isinstance(failure, UnitFailure)
+        assert failure.kind == UnitFailure.TIMEOUT
+        assert failure.unit == "spin"
+        assert 0.2 <= failure.elapsed_s < 30.0
+        assert ok == 7  # the alarm was disarmed for the next unit
+        assert executor.fallbacks == 1
+        assert instrument.value(instrument.RUNFARM_TIMEOUTS) == 1
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 class TestUnitContentKey:
     def test_stable_and_distinct(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.calibration import LINE_RATE_GBPS
-from repro.core import instrument
 from repro.core.rng import RandomStreams
 from repro.experiments.measurement import (
     ACCEL_PLATFORM,
@@ -14,7 +13,6 @@ from repro.experiments.measurement import (
     estimate_capacity_rps,
     measure_operating_point,
     run_fixed_rate,
-    sweep_operating_rate,
 )
 from repro.experiments.profiles import get_profile
 
@@ -141,35 +139,3 @@ class TestComponentLoad:
         load = component_load(profile, "host", completed_rate=1e12)
         assert load.host_busy_cores <= 8.0
 
-
-class TestSweepOperatingRate:
-    """Warm-started adaptive sweeps vs the cold search, end to end."""
-
-    # fig4 smoke set: kernel-stack + DPDK at 64B, on host and SNIC CPU.
-    CASES = [("udp:64", "host"), ("udp:64", "snic-cpu"),
-             ("dpdk:64", "host"), ("dpdk:64", "snic-cpu")]
-    # Probe noise at the saturation knee shrinks with run length;
-    # 50k requests keeps warm/cold divergence deterministically under
-    # the sweep's own 2% bisection tolerance.
-    N_REQUESTS = 50_000
-
-    @pytest.mark.parametrize("key,platform", CASES)
-    def test_warm_matches_cold_with_fewer_probes(self, key, platform):
-        profile = get_profile(key, samples=60)
-        warm = sweep_operating_rate(
-            profile, platform, RandomStreams(1), n_requests=self.N_REQUESTS,
-            warm=True)
-        cold = sweep_operating_rate(
-            profile, platform, RandomStreams(1), n_requests=self.N_REQUESTS,
-            warm=False)
-        assert warm.sustainable and cold.sustainable
-        rel = abs(warm.max_rate - cold.max_rate) / cold.max_rate
-        assert rel <= 0.02
-        assert len(warm.probes) < len(cold.probes)
-
-    def test_warm_sweep_credits_saved_probes(self):
-        profile = get_profile("udp:64", samples=60)
-        before = instrument.value(instrument.PROBES_SAVED)
-        sweep_operating_rate(profile, "host", RandomStreams(1),
-                             n_requests=self.N_REQUESTS, warm=True)
-        assert instrument.value(instrument.PROBES_SAVED) > before

@@ -2,9 +2,9 @@
 
 These are the "does the system actually work as a system" tests: a
 Redis-shaped KVS served over the TCP state machine, an inline IDS on a
-UDP packet stream, remote storage over RDMA verbs, an accelerator
-offload pipeline fed by DPDK rings, and power sensors observing a
-workload — each exercising several packages together.
+UDP packet stream, an accelerator offload pipeline fed by DPDK rings,
+and power sensors observing a workload — each exercising several
+packages together.
 """
 
 import numpy as np
@@ -14,12 +14,9 @@ from repro.core import Simulator, Store
 from repro.functions.kvstore import KeyValueStore, encode_command
 from repro.functions.regex.rulesets import load_ruleset
 from repro.functions.snort import IntrusionDetector, PacketMeta
-from repro.functions.storage import NvmeOfTarget, RamDisk
 from repro.netstack import (
     DuplexChannel,
     PollModePort,
-    QueuePair,
-    RdmaNic,
     TcpEndpoint,
     UdpEndpoint,
     ip,
@@ -113,38 +110,6 @@ class TestSnortInline:
         assert len(inspected) == 20
         assert sum(1 for n in inspected if n > 0) == 2
         assert detector.stats.alerts >= 2
-
-
-class TestNvmeOfOverRdma:
-    def test_remote_block_read_write(self):
-        """fio's data path: NVMe commands via SEND/RECV, bulk data via
-        one-sided READ from the target's memory region."""
-        sim = Simulator()
-        initiator_nic = RdmaNic(sim, 1, local_bus_latency_s=900e-9)
-        target_nic = RdmaNic(sim, 2, local_bus_latency_s=300e-9)
-        qp_initiator = QueuePair(sim, initiator_nic, target_nic)
-        qp_target = QueuePair(sim, target_nic, initiator_nic)
-        qp_initiator.connect(qp_target)
-
-        target = NvmeOfTarget()
-        disk = RamDisk(1 << 20)
-        target.add_namespace(1, disk)
-        payload = bytes(range(256)) * 16
-        disk.write(3, payload)
-        # expose the block as an RDMA-readable staging region
-        region = target_nic.register_memory(disk.read(3, 1))
-
-        results = {}
-
-        def initiator():
-            completion = yield qp_initiator.read(region.key, 0, 4096)
-            results["data"] = completion.data
-            results["latency"] = sim.now
-
-        sim.process(initiator())
-        sim.run()
-        assert results["data"] == payload
-        assert 0 < results["latency"] < 1e-3
 
 
 class TestAcceleratorPipeline:
