@@ -1,11 +1,7 @@
-"""Benchmarks for the extension experiments: Strategy 1 what-ifs and the
-inflate offload study."""
+"""Benchmark for the Strategy 1 stack-offload what-if extension."""
 
 from conftest import run_once
 
-from repro.core.rng import RandomStreams
-from repro.experiments.measurement import ACCEL_PLATFORM, measure_operating_point
-from repro.experiments.profiles import get_profile
 from repro.experiments.strategy1 import format_strategy1, run_strategy1
 
 
@@ -21,44 +17,3 @@ def test_strategy1_stack_offload(benchmark, streams):
     by_scenario = rows_by_scenario(rows)
     for key, today in by_scenario["today"].items():
         assert by_scenario["datapath-offload"][key] > today
-
-
-def test_inflate_offload(benchmark, streams):
-    """Extension: the compression engine's inflate mode loses to the
-    host (Huffman decode is cheap; the engine pays batching overheads).
-    Deflate wins, inflate loses — offload asymmetry within one family."""
-
-    def run():
-        results = {}
-        for key in ("compression:txt", "decompression:txt"):
-            profile = get_profile(key, samples=10)
-            host = measure_operating_point(profile, "host", streams, 8000)
-            accel = measure_operating_point(profile, ACCEL_PLATFORM, streams, 8000)
-            results[key] = accel.throughput_rps / host.throughput_rps
-        return results
-
-    results = run_once(benchmark, run)
-    print(f"\naccel/host throughput: deflate {results['compression:txt']:.2f}x, "
-          f"inflate {results['decompression:txt']:.2f}x")
-    assert results["compression:txt"] > 1.5
-    assert results["decompression:txt"] < 1.0
-
-
-def test_ipsec_gateway_offload(benchmark, streams):
-    """Extension: the strongSwan story quantified — an ESP gateway on the
-    host kernel stack vs the SNIC CPU vs DPDK staging + the crypto engine."""
-
-    def run():
-        profile = get_profile("ipsec:encap", samples=80)
-        return {
-            platform: measure_operating_point(profile, platform, streams, 8000)
-            for platform in ("host", "snic-cpu", ACCEL_PLATFORM)
-        }
-
-    points = run_once(benchmark, run)
-    print("\nIPsec ESP encap, 1 KB payloads:")
-    for platform, point in points.items():
-        print(f"  {platform:<12} {point.goodput_gbps:6.1f} Gb/s  "
-              f"p99 {point.p99_latency_s*1e6:7.1f} us  "
-              f"{point.server_power_w:6.1f} W")
-    assert points[ACCEL_PLATFORM].goodput_gbps > 2 * points["host"].goodput_gbps

@@ -16,38 +16,6 @@ from .tco import (
 )
 
 
-def generate_report(*args, **kwargs):
-    """Lazy wrapper: .report imports the experiments package, which in
-    turn imports analysis.tco — importing it eagerly here would cycle."""
-    from .report import generate_report as _generate_report
-
-    return _generate_report(*args, **kwargs)
-
-
-def format_all_tables():
-    from .tables import format_all_tables as _format_all_tables
-
-    return _format_all_tables()
-
-
-def format_table1():
-    from .tables import format_table1 as _format
-
-    return _format()
-
-
-def format_table2():
-    from .tables import format_table2 as _format
-
-    return _format()
-
-
-def format_table3():
-    from .tables import format_table3 as _format
-
-    return _format()
-
-
 __all__ = [
     "write_fig4_csv",
     "write_fig5_csv",
@@ -58,11 +26,6 @@ __all__ = [
     "fig5_chart",
     "fig6_chart",
     "line_plot",
-    "generate_report",
-    "format_all_tables",
-    "format_table1",
-    "format_table2",
-    "format_table3",
     "FleetPlan",
     "ServerCosts",
     "TcoComparison",

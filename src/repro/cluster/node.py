@@ -57,7 +57,6 @@ class Node:
         if profile.pcie_hop:
             self.pcie = PcieLink(sim, BLUEFIELD2.pcie,
                                  name=f"node{node_id}-snic->host")
-        self._egress = egress
 
     @classmethod
     def build(cls, sim: Simulator, node_id: int, address: int,
@@ -79,16 +78,6 @@ class Node:
         else:
             self.endpoint.deliver(packet)
         return CONSUME
-
-    # -- fault-target protocol (repro.faults.injector) ---------------------
-
-    def fault_begin(self, fault) -> None:
-        if fault.spec.kind == "outage":
-            self._egress.set_down(True)
-
-    def fault_end(self, fault) -> None:
-        if fault.spec.kind == "outage":
-            self._egress.set_down(False)
 
     # -- accounting --------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .metrics import (
     ThroughputMeter,
     summarize_samples,
 )
-from .resources import Resource, Store
+from .resources import Resource
 from .rng import RandomStreams
 from .trace import TraceEvent, TraceRecorder, export_chrome, export_jsonl
 
@@ -40,7 +40,6 @@ __all__ = [
     "ParallelExecutor",
     "WorkUnit",
     "Resource",
-    "Store",
     "RandomStreams",
     "LatencyRecorder",
     "LatencySummary",

@@ -43,7 +43,8 @@ logger = logging.getLogger("repro.cache")
 #   analytic answers inside validated trust regions) and an identity-
 #   validated service-time memo — results priced under the old memo
 #   could reflect a stale calibration swap and must not be reused.
-CODE_VERSION = "2026.08.5"
+# 2026.08.6: cached trust records drop the write-only p99 fields.
+CODE_VERSION = "2026.08.6"
 
 _PRIMITIVES = (str, int, float, bool, bytes, type(None))
 

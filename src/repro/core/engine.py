@@ -2,9 +2,9 @@
 
 A minimal, deterministic event engine in the style of SimPy: processes are
 Python generators that yield :class:`Event` objects (timeouts, resource
-grants, store gets) and are resumed when those events fire.  Everything in
-the library — packet arrivals, CPU service, accelerator batches, power
-sensor sampling — runs on top of this kernel.
+grants) and are resumed when those events fire.  The packet-level testbed
+and the cluster fabric — packet arrivals, CPU service, PCIe transfers,
+TCP — run on top of this kernel.
 
 Determinism: events scheduled for the same simulated time fire in FIFO
 order of scheduling (a monotonic sequence number breaks ties), so repeated
@@ -128,8 +128,6 @@ class Process(Event):
         sim._schedule_event(0.0, starter)
 
     def _resume(self, event: Event) -> None:
-        if self._state != Event.PENDING:
-            return  # interrupted while waiting; drop stale wakeups
         try:
             target = self._generator.send(event.value)
         except StopIteration as stop:
@@ -141,12 +139,6 @@ class Process(Event):
                 "expected an Event"
             )
         target.add_callback(self._resume)
-
-    def interrupt(self) -> None:
-        """Stop the process; its event fires with value None."""
-        if self._state == Event.PENDING:
-            self._generator.close()
-            self.trigger(None)
 
 
 class Simulator:
@@ -185,9 +177,6 @@ class Simulator:
 
     # -- public API ---------------------------------------------------------
 
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
@@ -195,24 +184,12 @@ class Simulator:
         """Register a generator as a concurrently running process."""
         return Process(self, generator, name)
 
-    def step(self) -> bool:
-        """Fire the next event; return False when the queue is empty."""
-        if not self._queue:
-            return False
-        time, _, event = heapq.heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("time went backwards")
-        self._now = time
-        event._fire()
-        self.events_fired += 1
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self._now:
             raise SimulationError(f"run(until={until}) is in the past")
-        # Inlined step loop: one heappop and one _fire per event, without
-        # the peek/step call overhead — this is the kernel's hot loop.
+        # One heappop and one _fire per event — this is the kernel's hot
+        # loop.
         # Instrumentation stays out of it: one local integer add per
         # event, folded into the process counters once on exit.
         queue = self._queue
@@ -250,41 +227,3 @@ class Simulator:
             trace.instant("sim.run", trace.SIM, ts=self._now,
                           events_fired=self.events_fired,
                           events_scheduled=self._sequence)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def any_of(self, events: List[Event]) -> Event:
-        """Event that fires when the first of ``events`` fires."""
-        combined = self.event()
-
-        def _on_fire(event: Event) -> None:
-            if not combined.triggered:
-                combined.trigger(event.value)
-
-        for event in events:
-            event.add_callback(_on_fire)
-        return combined
-
-    def all_of(self, events: List[Event]) -> Event:
-        """Event that fires (with a list of values) when all fire."""
-        combined = self.event()
-        remaining = [len(events)]
-        values: List[Any] = [None] * len(events)
-        if not events:
-            combined.trigger([])
-            return combined
-
-        def _make(index: int) -> Callable[[Event], None]:
-            def _on_fire(event: Event) -> None:
-                values[index] = event.value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    combined.trigger(list(values))
-
-            return _on_fire
-
-        for index, event in enumerate(events):
-            event.add_callback(_make(index))
-        return combined

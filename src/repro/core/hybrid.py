@@ -64,16 +64,12 @@ class TrustRecord:
     ``low_factor`` is the highest load factor at which a simulation
     confirmed the analytic *accept* (None: analytic acceptance is not
     trusted and sub-window rungs must be simulated); ``high_factor`` the
-    lowest factor with a confirmed analytic *reject*.  ``p99_rel_err``
-    records the relative p99 disagreement at the low spot-check and
-    ``p99_trusted`` whether it fell inside ``p99_tolerance``.
+    lowest factor with a confirmed analytic *reject*.
     """
 
     anchor_rps: float
     low_factor: Optional[float] = None
     high_factor: Optional[float] = None
-    p99_trusted: bool = False
-    p99_rel_err: float = float("inf")
 
 
 _active_engine: str = DEFAULT_ENGINE

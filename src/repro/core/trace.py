@@ -1,8 +1,8 @@
 """Flight-recorder tracing for the simulation stack.
 
 Every layer of the library — the DES kernel, the queueing fast path, the
-accelerator batch models, the netstack, fault injection, the executor and
-the result cache — can emit *trace events* into a bounded ring buffer.
+accelerator batch models, the netstack, the executor and the result
+cache — can emit *trace events* into a bounded ring buffer.
 When the buffer fills, the oldest events are evicted (and counted), so
 what remains is always the most recent window of activity: a flight
 recorder, not a full log.
@@ -35,7 +35,6 @@ Categories
 ``queue``       per-window queue depth / utilization series
 ``accel.batch`` accelerator batch formation and service
 ``netstack``    per-packet stage costs (serialization, drops)
-``fault``       fault episode spans
 ``probe``       rate probes, sweeps, per-work-unit profiles
 ``cache``       result-cache lookups and stores
 ``runfarm``     unit attempts, timeouts, requeues, quarantines, heartbeats
@@ -64,13 +63,11 @@ SIM = "sim.event"
 QUEUE = "queue"
 ACCEL_BATCH = "accel.batch"
 NETSTACK = "netstack"
-FAULT = "fault"
 PROBE = "probe"
 CACHE = "cache"
 RUNFARM = "runfarm"
 
-CATEGORIES = (SIM, QUEUE, ACCEL_BATCH, NETSTACK, FAULT, PROBE, CACHE,
-              RUNFARM)
+CATEGORIES = (SIM, QUEUE, ACCEL_BATCH, NETSTACK, PROBE, CACHE, RUNFARM)
 
 DEFAULT_CAPACITY = 1 << 16
 DEFAULT_METRICS_INTERVAL_S = 1e-3

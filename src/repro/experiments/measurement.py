@@ -268,8 +268,6 @@ def _add_fixed_latency(outcome, profile, platform, rng):
         return outcome
     extra = np.zeros(n)
     stack = profile.stack
-    if platform == ACCEL_PLATFORM:
-        stack = profile.accel_staging_stack or profile.stack
     if stack is not None:
         calibration = PLATFORMS[platform] if platform != ACCEL_PLATFORM else PLATFORMS["snic-cpu"]
         cost = calibration.stacks[stack]
@@ -295,10 +293,9 @@ def _run_accelerator(
     # Staging: SNIC CPU cores feed the engine over DPDK (§3.4).  They cap
     # the submission rate but their per-packet time is tiny.
     staging_cap = float("inf")
-    staging_stack = profile.accel_staging_stack or profile.stack
-    if staging_stack is not None:
+    if profile.stack is not None:
         snic = PLATFORMS["snic-cpu"]
-        staging_per_packet = snic.stack_seconds(staging_stack, int(profile.wire_bytes))
+        staging_per_packet = snic.stack_seconds(profile.stack, int(profile.wire_bytes))
         staging_cap = engine.staging_cores / staging_per_packet
     nic_cap = _nic_cap_rps(profile)
     effective_rate = min(rate, staging_cap, nic_cap)
@@ -341,8 +338,6 @@ def _cpu_queue_limit(
 def _stack_rtt_floor(profile: FunctionProfile, platform: str) -> tuple:
     """(mean, p99) of the fixed stack-RTT + latency-extra floor."""
     stack = profile.stack
-    if platform == ACCEL_PLATFORM:
-        stack = profile.accel_staging_stack or profile.stack
     adder = profile.latency_extra.get(platform, 0.0)
     if stack is None:
         return adder, adder
@@ -468,8 +463,6 @@ def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
     """
     extra = np.zeros(n_requests)
     stack = profile.stack
-    if platform == ACCEL_PLATFORM:
-        stack = profile.accel_staging_stack or profile.stack
     if stack is not None:
         calibration = (PLATFORMS[platform] if platform != ACCEL_PLATFORM
                        else PLATFORMS["snic-cpu"])
@@ -479,11 +472,10 @@ def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
 
 def _staging_cap_rps(profile: FunctionProfile) -> float:
     staging_cap = float("inf")
-    staging_stack = profile.accel_staging_stack or profile.stack
-    if staging_stack is not None:
+    if profile.stack is not None:
         snic = PLATFORMS["snic-cpu"]
         staging_per_packet = snic.stack_seconds(
-            staging_stack, int(profile.wire_bytes))
+            profile.stack, int(profile.wire_bytes))
         staging_cap = ACCELERATORS[profile.accel_engine].staging_cores / staging_per_packet
     return staging_cap
 
@@ -955,8 +947,6 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
             anchor_rps=float(anchor),
             low_factor=float(factors[low_edge]) if trust_low else None,
             high_factor=float(factors[high_edge]) if trust_high else None,
-            p99_trusted=p99_trusted,
-            p99_rel_err=p99_rel_err,
         ))
 
     analytic_count = len(ladder) - len(simulated)
@@ -1068,11 +1058,10 @@ def component_load(
         utilization = min(completed_rate * per_item, 1.0)
         engine = ACCELERATORS[profile.accel_engine]
         staging_util = 0.0
-        staging_stack = profile.accel_staging_stack or profile.stack
-        if staging_stack is not None:
+        if profile.stack is not None:
             snic = PLATFORMS["snic-cpu"]
             staging_per_packet = snic.stack_seconds(
-                staging_stack, int(profile.wire_bytes)
+                profile.stack, int(profile.wire_bytes)
             )
             staging_util = min(
                 completed_rate * staging_per_packet / engine.staging_cores, 1.0

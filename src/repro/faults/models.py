@@ -1,15 +1,11 @@
 """Component-facing fault state.
 
-Two consumers need a view of "how broken is component X right now":
+Vectorized simulators (the load balancer, the fluid fault experiments)
+need a view of "how broken is the SNIC path right now": they query a
+:class:`SnicHealth` built directly from the
+:class:`~repro.faults.schedule.FaultTimeline` by timestamp.
 
-* DES components (links, accelerator engines) attach a
-  :class:`ComponentHealth` to the :class:`~repro.faults.injector.
-  FaultInjector` and read its properties inline;
-* vectorized simulators (the load balancer, the fluid fault experiments)
-  query a :class:`SnicHealth` built directly from the
-  :class:`~repro.faults.schedule.FaultTimeline` by timestamp.
-
-Both interpret the same fault kinds: ``outage`` removes the component,
+It interprets three fault kinds: ``outage`` removes the component,
 ``degrade`` multiplies its service times by the fault severity (thermal
 throttle / degraded clock), ``core-loss`` removes a severity-fraction of
 its cores (which also inflates effective per-request service).
@@ -17,7 +13,7 @@ its cores (which also inflates effective per-request service).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,63 +21,8 @@ from .schedule import (
     KIND_CORE_LOSS,
     KIND_DEGRADE,
     KIND_OUTAGE,
-    ActiveFault,
     FaultTimeline,
 )
-
-
-class ComponentHealth:
-    """Injector target that folds active faults into live multipliers.
-
-    Attach one per component; the component reads ``available``,
-    ``throttle_factor`` and ``core_fraction`` on its hot path.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._active: List[ActiveFault] = []
-        self.fault_count = 0
-
-    # -- FaultTarget protocol ------------------------------------------------
-
-    def fault_begin(self, fault: ActiveFault) -> None:
-        self._active.append(fault)
-        self.fault_count += 1
-
-    def fault_end(self, fault: ActiveFault) -> None:
-        self._active = [
-            a for a in self._active
-            if not (a.spec.name == fault.spec.name and a.start_s == fault.start_s)
-        ]
-
-    # -- live state ----------------------------------------------------------
-
-    @property
-    def available(self) -> bool:
-        return not any(a.spec.kind == KIND_OUTAGE for a in self._active)
-
-    @property
-    def throttle_factor(self) -> float:
-        """Service-time multiplier from active degraded-clock faults."""
-        factors = [a.spec.severity for a in self._active
-                   if a.spec.kind == KIND_DEGRADE]
-        return max(factors) if factors else 1.0
-
-    @property
-    def core_fraction(self) -> float:
-        """Fraction of cores still alive (core-loss faults compound)."""
-        fraction = 1.0
-        for a in self._active:
-            if a.spec.kind == KIND_CORE_LOSS:
-                fraction *= max(0.0, 1.0 - a.spec.severity)
-        return fraction
-
-    @property
-    def service_multiplier(self) -> float:
-        """Combined effective per-request service-time multiplier."""
-        if not self.available or self.core_fraction <= 0.0:
-            return float("inf")
-        return self.throttle_factor / self.core_fraction
 
 
 class SnicHealth:
@@ -166,20 +107,3 @@ class SnicHealth:
             if spec.target == self.target and spec.kind == KIND_OUTAGE:
                 windows.extend(self.timeline.episodes(spec.name))
         return sorted(windows)
-
-
-def healthy_snic() -> "SnicHealth":
-    """A SnicHealth with no faults (baseline runs)."""
-    return SnicHealth(FaultTimeline([], horizon_s=0.0))
-
-
-def health_report(components: Dict[str, ComponentHealth]) -> str:
-    """One-line-per-component summary used by debug output."""
-    lines = []
-    for name, health in sorted(components.items()):
-        state = "up" if health.available else "DOWN"
-        lines.append(
-            f"{name:<12} {state:<5} x{health.throttle_factor:.2f} "
-            f"cores {health.core_fraction:.0%} (faults seen: {health.fault_count})"
-        )
-    return "\n".join(lines)

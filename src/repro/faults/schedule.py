@@ -8,9 +8,10 @@ quantities from a per-fault named substream of :class:`~repro.core.rng.
 RandomStreams` — so adding a fault to a scenario never perturbs the draws
 of another, and whole fault schedules replay bit-identically.
 
-:class:`FaultTimeline` is the query side: components (and the vectorized
-simulators in :mod:`repro.experiments.faults`) ask it which faults are
-active at a time ``t``, or for a boolean mask over an arrival vector.
+:class:`FaultTimeline` is the query side: the vectorized simulators in
+:mod:`repro.experiments.faults` ask it for a boolean mask over an arrival
+vector; the scalar "which faults are active at time ``t``" queries are
+the oracle the vectorized ones are tested against.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from ..core.rng import RandomStreams
 
 # Fault kinds understood by the built-in models.  The timeline itself is
 # agnostic — any string works — but these are the ones the experiment
-# scenarios and component hooks interpret.
+# scenarios and the health model interpret.
 KIND_OUTAGE = "outage"  # component fully unavailable
 KIND_DEGRADE = "degrade"  # thermal throttle: service times x severity
 KIND_CORE_LOSS = "core-loss"  # severity = fraction of cores lost
-KIND_LINK_FLAP = "link-flap"  # link down, all packets lost
 KIND_BURST_LOSS = "burst-loss"  # correlated (Gilbert-Elliott) loss episode
 
 MODE_ONE_SHOT = "one-shot"
@@ -61,6 +61,11 @@ class FaultSpec:
             raise ValueError(f"unknown fault mode {self.mode!r}")
         if self.mode == MODE_PERIODIC and self.period_s <= 0:
             raise ValueError("periodic fault needs period_s > 0")
+        if self.mode == MODE_PERIODIC and self.duration_s > self.period_s:
+            # Overlapping episodes of one spec would make the scalar
+            # queries (first covering episode per spec) and the vectorized
+            # ones (every covering episode) disagree on outage ends.
+            raise ValueError("periodic fault needs duration_s <= period_s")
         if self.mode == MODE_STOCHASTIC and (self.mtbf_s <= 0 or self.mttr_s <= 0):
             raise ValueError("stochastic fault needs mtbf_s > 0 and mttr_s > 0")
         if self.duration_s < 0 or self.start_s < 0:
@@ -145,10 +150,9 @@ class ActiveFault:
 class FaultTimeline:
     """Materialized schedule: which faults are active when.
 
-    Built once per run from a list of specs; queried per packet (scalar) or
-    per arrival vector (numpy mask) by fault-aware simulators, and walked
-    episode-by-episode by the DES :class:`~repro.faults.injector.
-    FaultInjector`.
+    Built once per run from a list of specs; queried per arrival vector
+    (numpy mask) by fault-aware simulators, or per timestamp (scalar) by
+    the oracle.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], horizon_s: float,
@@ -161,15 +165,6 @@ class FaultTimeline:
 
     def episodes(self, name: str) -> List[Episode]:
         return list(self._episodes[name])
-
-    def all_episodes(self) -> List[ActiveFault]:
-        out = [
-            ActiveFault(spec, start, end)
-            for spec in self.specs
-            for start, end in self._episodes[spec.name]
-        ]
-        out.sort(key=lambda a: a.start_s)
-        return out
 
     def active(self, t: float, target: Optional[str] = None,
                kind: Optional[str] = None) -> List[ActiveFault]:
@@ -206,25 +201,3 @@ class FaultTimeline:
             for start, end in self._episodes[spec.name]:
                 mask |= (times >= start) & (times < end)
         return mask
-
-    def downtime_s(self, target: str, kind: Optional[str] = None) -> float:
-        """Total (union) time a matching fault is active."""
-        windows: List[Episode] = []
-        for spec in self.specs:
-            if spec.target != target:
-                continue
-            if kind is not None and spec.kind != kind:
-                continue
-            windows.extend(self._episodes[spec.name])
-        if not windows:
-            return 0.0
-        windows.sort()
-        total = 0.0
-        cur_start, cur_end = windows[0]
-        for start, end in windows[1:]:
-            if start > cur_end:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        return total + (cur_end - cur_start)

@@ -5,17 +5,12 @@ serialization delay from packet size and link rate, fixed propagation
 delay, and optional random loss.  Both stack models and integration tests
 move packets through :class:`Link` objects.
 
-Loss comes in three flavours:
+Loss comes in two flavours:
 
 * i.i.d. Bernoulli (``loss_probability``) — the classic random-drop cable;
 * bursty correlated loss (:class:`GilbertElliottLoss`) — a two-state
   Markov chain where drops cluster into episodes, as congestion loss does
-  in real fabrics;
-* link flaps — the link goes administratively down for a window and every
-  packet sent meanwhile is lost.  Flaps are driven either directly via
-  :meth:`Link.set_down` or by attaching the link to a
-  :class:`~repro.faults.injector.FaultInjector` (the link implements the
-  fault-target protocol for ``link-flap`` / ``outage`` faults).
+  in real fabrics.
 """
 
 from __future__ import annotations
@@ -122,9 +117,7 @@ class Link:
         self.on_enqueue: Optional[EnqueueHook] = None
         self.delivered = 0
         self.lost = 0
-        self.flap_lost = 0  # subset of ``lost`` dropped while the link was down
         self.queue_lost = 0  # subset of ``lost`` rejected by the enqueue hook
-        self.down = False
         self._busy_until = 0.0
 
     def queue_depth_bytes(self) -> float:
@@ -136,22 +129,6 @@ class Link:
         """
         return max(0.0, self._busy_until - self.sim.now) * self.bytes_per_second
 
-    def set_down(self, down: bool) -> None:
-        """Administratively flap the link; packets sent while down are lost."""
-        self.down = down
-
-    # -- fault-target protocol (repro.faults.injector) -----------------------
-
-    def fault_begin(self, fault) -> None:
-        if fault.spec.kind in ("link-flap", "outage"):
-            self.set_down(True)
-
-    def fault_end(self, fault) -> None:
-        if fault.spec.kind in ("link-flap", "outage"):
-            self.set_down(False)
-
-    # ------------------------------------------------------------------------
-
     def attach(self, receiver: Receiver) -> None:
         self.receiver = receiver
 
@@ -159,13 +136,6 @@ class Link:
         """Queue a packet for transmission (FIFO serialization)."""
         if self.receiver is None:
             raise RuntimeError("link has no receiver attached")
-        if self.down:
-            self.lost += 1
-            self.flap_lost += 1
-            if trace.TRACING:
-                trace.instant("link.drop", trace.NETSTACK, ts=self.sim.now,
-                              track=trace.subtrack("link"), reason="flap")
-            return
         if self.loss_model is not None and self.rng is not None:
             if self.loss_model.lost(self.rng):
                 self.lost += 1
@@ -205,17 +175,3 @@ class Link:
             self.receiver(fired.value)
 
         event.add_callback(_deliver)
-
-
-class DuplexChannel:
-    """A pair of links between two endpoints."""
-
-    def __init__(self, sim: Simulator, gbps: float = 100.0,
-                 propagation_s: float = 500e-9,
-                 loss_probability: float = 0.0,
-                 rng: Optional[np.random.Generator] = None,
-                 jitter_s: float = 0.0):
-        self.forward = Link(sim, gbps, propagation_s, loss_probability, rng,
-                            jitter_s)
-        self.backward = Link(sim, gbps, propagation_s, loss_probability, rng,
-                             jitter_s)

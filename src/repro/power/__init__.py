@@ -1,15 +1,7 @@
-"""Power models, sensors, and energy-efficiency accounting."""
+"""Power models and energy-efficiency accounting."""
 
 from .energy import EnergyReport, efficiency_ratio, energy_per_request
 from .models import IDLE, ComponentLoad, ServerPowerModel, SnicPowerModel
-from .sensors import (
-    BmcSensor,
-    PowerSensor,
-    PowerTrace,
-    RiserCardSetup,
-    YoctoWattSensor,
-    validate_isolation,
-)
 
 __all__ = [
     "EnergyReport",
@@ -19,10 +11,4 @@ __all__ = [
     "ComponentLoad",
     "ServerPowerModel",
     "SnicPowerModel",
-    "BmcSensor",
-    "PowerSensor",
-    "PowerTrace",
-    "RiserCardSetup",
-    "YoctoWattSensor",
-    "validate_isolation",
 ]

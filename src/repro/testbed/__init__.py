@@ -1,12 +1,5 @@
 """Packet-accurate testbed: Fig. 3's system on the event kernel."""
 
-from .accelerator import (
-    AcceleratorDevice,
-    DocaError,
-    JobResult,
-    compression_device,
-    rem_device,
-)
 from .eswitch import Destination, ESwitch, OperationMode
 from .pcie import PcieLink
 from .server import (
@@ -23,11 +16,6 @@ from .server import (
 )
 
 __all__ = [
-    "AcceleratorDevice",
-    "DocaError",
-    "JobResult",
-    "compression_device",
-    "rem_device",
     "Destination",
     "ESwitch",
     "OperationMode",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Simulator, SimulationError
+from repro.core import Event, Simulator, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -55,7 +55,7 @@ def test_same_time_events_fire_fifo():
 
 def test_event_trigger_twice_raises():
     sim = Simulator()
-    event = sim.event()
+    event = Event(sim)
     event.trigger(1)
     with pytest.raises(SimulationError):
         event.trigger(2)
@@ -63,7 +63,7 @@ def test_event_trigger_twice_raises():
 
 def test_callback_on_already_fired_event_runs_later():
     sim = Simulator()
-    event = sim.event()
+    event = Event(sim)
     event.trigger("v")
     sim.run()
     seen = []
@@ -138,52 +138,6 @@ def test_two_processes_interleave():
         ("fast", 3.0),
         ("slow", 4.5),
     ]
-
-
-def test_process_interrupt_stops_generator():
-    sim = Simulator()
-    progressed = []
-
-    def proc():
-        yield sim.timeout(10.0)
-        progressed.append(True)
-
-    process = sim.process(proc())
-    sim.run(until=1.0)
-    process.interrupt()
-    sim.run()
-    assert progressed == []
-    assert process.fired
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    first = sim.any_of([sim.timeout(2.0, "late"), sim.timeout(1.0, "early")])
-    sim.run()
-    assert first.value == "early"
-
-
-def test_all_of_collects_values_in_order():
-    sim = Simulator()
-    combined = sim.all_of([sim.timeout(2.0, "a"), sim.timeout(1.0, "b")])
-    sim.run()
-    assert combined.value == ["a", "b"]
-
-
-def test_all_of_empty_list():
-    sim = Simulator()
-    combined = sim.all_of([])
-    sim.run()
-    assert combined.fired
-    assert combined.value == []
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    sim.timeout(3.0)
-    assert sim.peek() == 3.0
-    sim.run()
-    assert sim.peek() == float("inf")
 
 
 def test_nested_process_waits_on_subprocess():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store queueing primitives."""
+"""Unit tests for the Resource queueing primitive."""
 
 import pytest
 
-from repro.core import Resource, SimulationError, Simulator, Store
+from repro.core import Resource, SimulationError, Simulator
 
 
 def test_resource_capacity_validation():
@@ -122,93 +122,3 @@ def test_utilization_reset():
     core.reset_utilization()
     sim.run(until=8.0)
     assert core.utilization(elapsed=4.0) == pytest.approx(0.0)
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for item in [1, 2, 3]:
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == [1, 2, 3]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(3.0)
-        yield store.put("x")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("x", 3.0)]
-
-
-def test_bounded_store_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        events.append(("got-" + item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 5.0) in events  # unblocked only after the get
-    assert len(store) == 1  # "b" still buffered
-
-
-def test_bounded_store_preserves_order_through_blocking():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    got = []
-
-    def producer():
-        for item in "abcd":
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(4):
-            item = yield store.get()
-            got.append(item)
-            yield sim.timeout(1.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == list("abcd")
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)

@@ -1,5 +1,5 @@
-"""Tests for the extension experiments: Strategy 1 what-ifs, inflate,
-and the configuration-table renderers."""
+"""Tests for the extension experiments: Strategy 1 what-ifs and the
+configuration-table renderers."""
 
 import pytest
 
@@ -10,8 +10,6 @@ from repro.analysis.tables import (
     format_table3,
 )
 from repro.core.rng import RandomStreams
-from repro.experiments.measurement import ACCEL_PLATFORM, measure_operating_point
-from repro.experiments.profiles import EXTENSION_PROFILE_KEYS, get_profile
 from repro.experiments.strategy1 import (
     AGGRESSIVE,
     BASELINE,
@@ -64,31 +62,6 @@ class TestStrategy1:
     def test_formatting(self, rows):
         text = format_strategy1(rows)
         assert "udp:64" in text and "datapath-offload" in text
-
-
-class TestInflateExtension:
-    def test_profiles_build(self):
-        expected_modes = {"decompression": "inflate", "ipsec": "esp"}
-        for key in EXTENSION_PROFILE_KEYS:
-            profile = get_profile(key, samples=8)
-            assert profile.accel_mode == expected_modes[key.split(":")[0]]
-            assert profile.work_samples
-
-    def test_host_decodes_faster_than_engine(self):
-        """Extension finding: inflate is cheap on the host (no match
-        search), so the engine loses — offload asymmetry within one
-        function family."""
-        streams = RandomStreams(3)
-        profile = get_profile("decompression:txt", samples=8)
-        host = measure_operating_point(profile, "host", streams, 6000)
-        accel = measure_operating_point(profile, ACCEL_PLATFORM, streams, 6000)
-        assert accel.throughput_rps < host.throughput_rps
-
-    def test_inflate_work_lighter_than_deflate(self):
-        inflate = get_profile("decompression:txt", samples=8).mean_work()
-        compress = get_profile("compression:txt", samples=8).mean_work()
-        assert inflate.get("lz_byte") == 0.0
-        assert compress.get("lz_byte") > 0.0
 
 
 class TestConfigurationTables:

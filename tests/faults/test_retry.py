@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import Simulator
-from repro.faults import RetryPolicy, retrying_process, simulate_retries
+from repro.faults import RetryPolicy, simulate_retries
 
 
 class TestPolicy:
@@ -66,39 +65,6 @@ class TestSimulateRetries:
         assert outcome.extra_delay_s == pytest.approx(1e-3 + 2e-3)
 
 
-class TestRetryingProcess:
-    def _drive(self, fail_first_n, policy):
-        sim = Simulator()
-        attempts = []
-
-        def attempt(i):
-            attempts.append((i, sim.now))
-            event = sim.event()
-            event.trigger(i >= fail_first_n)  # succeed after n failures
-            return event
-
-        rng = np.random.default_rng(0)
-        process = sim.process(retrying_process(sim, attempt, policy, rng))
-        sim.run()
-        return process.value, attempts, sim
-
-    def test_retries_sleep_on_kernel_clock(self):
-        policy = RetryPolicy(timeout_s=1e-3, jitter_fraction=0.0)
-        outcome, attempts, sim = self._drive(2, policy)
-        assert outcome.delivered and outcome.attempts == 3
-        # Attempt times: 0, after 1 ms backoff, after 2 ms more.
-        times = [t for _, t in attempts]
-        assert times == pytest.approx([0.0, 1e-3, 3e-3])
-        assert sim.now == pytest.approx(3e-3)
-
-    def test_gives_up_after_max_attempts(self):
-        policy = RetryPolicy(timeout_s=1e-3, max_attempts=2,
-                             jitter_fraction=0.0)
-        outcome, attempts, _ = self._drive(99, policy)
-        assert not outcome.delivered
-        assert len(attempts) == 2
-
-
 class TestElapsedDeadline:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,28 +93,6 @@ class TestElapsedDeadline:
         assert not outcome.delivered
         assert outcome.attempts == 2
         assert outcome.extra_delay_s == pytest.approx(1e-3)
-
-    def test_retrying_process_gives_up_at_deadline(self):
-        sim = Simulator()
-        policy = RetryPolicy(timeout_s=1e-3, max_attempts=10,
-                             jitter_fraction=0.0, max_elapsed_s=2.5e-3)
-        attempts = []
-
-        def attempt(i):
-            attempts.append((i, sim.now))
-            event = sim.event()
-            event.trigger(False)  # every attempt is lost
-            return event
-
-        rng = np.random.default_rng(0)
-        process = sim.process(retrying_process(sim, attempt, policy, rng))
-        sim.run()
-        outcome = process.value
-        assert not outcome.delivered
-        assert outcome.attempts == 2
-        # Gave up at 1 ms elapsed: the 2 ms second backoff would land
-        # past the 2.5 ms deadline.
-        assert sim.now == pytest.approx(1e-3)
 
     def test_unbounded_policy_unchanged(self):
         bounded = RetryPolicy(timeout_s=1e-3, max_attempts=4,

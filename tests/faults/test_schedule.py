@@ -37,6 +37,15 @@ class TestSpecs:
         with pytest.raises(ValueError):
             FaultSpec(name="f", target="x", mode="periodic", period_s=0.0)
 
+    def test_periodic_rejects_overlapping_episodes(self):
+        with pytest.raises(ValueError, match="duration_s <= period_s"):
+            FaultSpec.periodic("f", "x", start_s=0.0, period_s=1.0,
+                               duration_s=1.5)
+        # Back-to-back episodes ([0, 1), [1, 2), ...) do not overlap.
+        spec = FaultSpec.periodic("f", "x", start_s=0.0, period_s=1.0,
+                                  duration_s=1.0)
+        assert materialize(spec, 3.0) == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+
     def test_stochastic_requires_mtbf_mttr(self):
         with pytest.raises(ValueError):
             FaultSpec.stochastic("f", "x", mtbf_s=0.0, mttr_s=1.0)
@@ -65,9 +74,8 @@ class TestSpecs:
 
     def test_stochastic_mean_downtime_tracks_mttr(self):
         spec = FaultSpec.stochastic("flaky", "link", mtbf_s=10.0, mttr_s=1.0)
-        timeline = FaultTimeline([spec], horizon_s=10_000.0,
-                                 streams=RandomStreams(3))
-        down = timeline.downtime_s("link")
+        episodes = materialize(spec, 10_000.0, RandomStreams(3))
+        down = sum(end - start for start, end in episodes)
         # Expected down fraction = MTTR / (MTBF + MTTR) ~ 9 %.
         assert 0.04 < down / 10_000.0 < 0.16
 
@@ -100,13 +108,3 @@ class TestTimeline:
         times = np.array([0.0, 1.2, 1.9, 2.5, 4.0])
         mask = tl.active_mask(times, "accel", KIND_OUTAGE)
         assert mask.tolist() == [False, True, True, False, False]
-
-    def test_downtime_merges_overlaps(self):
-        tl = self._timeline()
-        # outage [1,2) + degrade [1.5,3.5) union = [1, 3.5)
-        assert tl.downtime_s("accel") == pytest.approx(2.5)
-
-    def test_all_episodes_sorted(self):
-        episodes = self._timeline().all_episodes()
-        starts = [e.start_s for e in episodes]
-        assert starts == sorted(starts)

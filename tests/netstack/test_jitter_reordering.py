@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Simulator
-from repro.netstack import DuplexChannel, Link, TcpEndpoint, ip
+from repro.netstack import Link, TcpEndpoint, ip
 from repro.netstack.packet import PROTO_UDP, Packet
 
 
@@ -49,11 +49,12 @@ class TestTcpUnderReordering:
     def _transfer(self, jitter_s, seed=0, nbytes=40_000, until=30.0):
         sim = Simulator()
         rng = np.random.default_rng(seed)
-        channel = DuplexChannel(sim, jitter_s=jitter_s, rng=rng)
-        a = TcpEndpoint(sim, ip(10, 0, 0, 1), channel.forward)
-        b = TcpEndpoint(sim, ip(10, 0, 0, 2), channel.backward)
-        channel.forward.attach(b.deliver)
-        channel.backward.attach(a.deliver)
+        forward = Link(sim, jitter_s=jitter_s, rng=rng)
+        backward = Link(sim, jitter_s=jitter_s, rng=rng)
+        a = TcpEndpoint(sim, ip(10, 0, 0, 1), forward)
+        b = TcpEndpoint(sim, ip(10, 0, 0, 2), backward)
+        forward.attach(b.deliver)
+        backward.attach(a.deliver)
         listener = b.listen(80)
         connection = a.connect(40000, ip(10, 0, 0, 2), 80)
         data = bytes(range(256)) * (nbytes // 256)
@@ -82,12 +83,12 @@ class TestTcpUnderReordering:
         sim_data = None
         sim = Simulator()
         rng = np.random.default_rng(9)
-        channel = DuplexChannel(sim, jitter_s=50e-6, loss_probability=0.05,
-                                rng=rng)
-        a = TcpEndpoint(sim, ip(10, 0, 0, 1), channel.forward)
-        b = TcpEndpoint(sim, ip(10, 0, 0, 2), channel.backward)
-        channel.forward.attach(b.deliver)
-        channel.backward.attach(a.deliver)
+        forward = Link(sim, jitter_s=50e-6, loss_probability=0.05, rng=rng)
+        backward = Link(sim, jitter_s=50e-6, loss_probability=0.05, rng=rng)
+        a = TcpEndpoint(sim, ip(10, 0, 0, 1), forward)
+        b = TcpEndpoint(sim, ip(10, 0, 0, 2), backward)
+        forward.attach(b.deliver)
+        backward.attach(a.deliver)
         listener = b.listen(80)
         connection = a.connect(40000, ip(10, 0, 0, 2), 80)
         data = bytes(range(256)) * 100

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from repro.core import Simulator
-from repro.netstack import DuplexChannel, TcpEndpoint, TcpState, ip
+from repro.netstack import Link, TcpEndpoint, TcpState, ip
 
 
 def make_pair(sim, loss=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    channel = DuplexChannel(sim, loss_probability=loss, rng=rng)
-    a = TcpEndpoint(sim, ip(10, 0, 0, 1), channel.forward)
-    b = TcpEndpoint(sim, ip(10, 0, 0, 2), channel.backward)
-    channel.forward.attach(b.deliver)
-    channel.backward.attach(a.deliver)
+    forward = Link(sim, loss_probability=loss, rng=rng)
+    backward = Link(sim, loss_probability=loss, rng=rng)
+    a = TcpEndpoint(sim, ip(10, 0, 0, 1), forward)
+    b = TcpEndpoint(sim, ip(10, 0, 0, 2), backward)
+    forward.attach(b.deliver)
+    backward.attach(a.deliver)
     return a, b
 
 

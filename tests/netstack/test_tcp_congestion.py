@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import Simulator
-from repro.netstack import DuplexChannel, TcpEndpoint, ip
+from repro.netstack import Link, TcpEndpoint, ip
 from repro.netstack.tcp import DEFAULT_SSTHRESH, INITIAL_CWND, MIN_RTO, MSS
 
 
 def make_pair(sim, loss=0.0, seed=0, gbps=100.0):
     rng = np.random.default_rng(seed)
-    channel = DuplexChannel(sim, gbps=gbps, loss_probability=loss, rng=rng)
-    a = TcpEndpoint(sim, ip(10, 0, 0, 1), channel.forward)
-    b = TcpEndpoint(sim, ip(10, 0, 0, 2), channel.backward)
-    channel.forward.attach(b.deliver)
-    channel.backward.attach(a.deliver)
+    forward = Link(sim, gbps=gbps, loss_probability=loss, rng=rng)
+    backward = Link(sim, gbps=gbps, loss_probability=loss, rng=rng)
+    a = TcpEndpoint(sim, ip(10, 0, 0, 1), forward)
+    b = TcpEndpoint(sim, ip(10, 0, 0, 2), backward)
+    forward.attach(b.deliver)
+    backward.attach(a.deliver)
     return a, b
 
 

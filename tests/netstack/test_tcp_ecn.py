@@ -10,17 +10,18 @@ segment, ECE echoed on ACKs, a multiplicative window cut at the sender
 import numpy as np
 
 from repro.core import Simulator
-from repro.netstack import DuplexChannel, TcpEndpoint, ip
+from repro.netstack import Link, TcpEndpoint, ip
 from repro.netstack.tcp import INITIAL_CWND, MSS
 
 
 def make_ecn_pair(sim, gbps=100.0, ecn=True):
-    channel = DuplexChannel(sim, gbps=gbps)
-    a = TcpEndpoint(sim, ip(10, 0, 0, 1), channel.forward, ecn=ecn)
-    b = TcpEndpoint(sim, ip(10, 0, 0, 2), channel.backward, ecn=ecn)
-    channel.forward.attach(b.deliver)
-    channel.backward.attach(a.deliver)
-    return a, b, channel
+    forward = Link(sim, gbps=gbps)
+    backward = Link(sim, gbps=gbps)
+    a = TcpEndpoint(sim, ip(10, 0, 0, 1), forward, ecn=ecn)
+    b = TcpEndpoint(sim, ip(10, 0, 0, 2), backward, ecn=ecn)
+    forward.attach(b.deliver)
+    backward.attach(a.deliver)
+    return a, b, forward
 
 
 def start_transfer(sim, a, b, nbytes):
@@ -62,8 +63,8 @@ class TestEcnBackoff:
     def test_marked_flow_backs_off(self):
         """CE marks must shrink the window below the lossless baseline."""
         sim = Simulator()
-        a, b, channel = make_ecn_pair(sim)
-        channel.forward.on_enqueue = mark_every(20)
+        a, b, forward = make_ecn_pair(sim)
+        forward.on_enqueue = mark_every(20)
         connection, data, received = start_transfer(sim, a, b, 400 * MSS)
         sim.run(until=60.0)
         assert received and received[0] == data  # delivery still exact
@@ -92,8 +93,8 @@ class TestEcnBackoff:
         sender must collapse those repeats into one reduction per window
         of data, not one per ACK."""
         sim = Simulator()
-        a, b, channel = make_ecn_pair(sim)
-        channel.forward.on_enqueue = mark_every(2)  # aggressive marking
+        a, b, forward = make_ecn_pair(sim)
+        forward.on_enqueue = mark_every(2)  # aggressive marking
         connection, data, received = start_transfer(sim, a, b, 200 * MSS)
         sim.run(until=60.0)
         assert received and received[0] == data
@@ -109,8 +110,8 @@ class TestEcnBackoff:
         """Non-ECN traffic never carries ECT, so the marker never fires
         and the transfer behaves exactly like the unmarked baseline."""
         sim = Simulator()
-        a, b, channel = make_ecn_pair(sim, ecn=False)
-        channel.forward.on_enqueue = mark_every(1)
+        a, b, forward = make_ecn_pair(sim, ecn=False)
+        forward.on_enqueue = mark_every(1)
         connection, data, received = start_transfer(sim, a, b, 100 * MSS)
         sim.run(until=60.0)
         assert received and received[0] == data
@@ -122,7 +123,7 @@ class TestEcnBackoff:
         """Returning False from the seam drops the packet; TCP recovers
         by retransmission and the drop is accounted as queue loss."""
         sim = Simulator()
-        a, b, channel = make_ecn_pair(sim)
+        a, b, forward = make_ecn_pair(sim)
         state = {"count": 0}
 
         def drop_every_30th(packet, depth_bytes):
@@ -132,24 +133,24 @@ class TestEcnBackoff:
                     return False
             return True
 
-        channel.forward.on_enqueue = drop_every_30th
+        forward.on_enqueue = drop_every_30th
         connection, data, received = start_transfer(sim, a, b, 100 * MSS)
         sim.run(until=120.0)
         assert received and received[0] == data
-        assert channel.forward.queue_lost > 0
+        assert forward.queue_lost > 0
         assert connection.retransmissions > 0
 
     def test_queue_depth_reflects_backlog(self):
         """The depth the hook sees grows while a burst serializes."""
         sim = Simulator()
-        a, b, channel = make_ecn_pair(sim, gbps=1.0)  # slow link: backlog
+        a, b, forward = make_ecn_pair(sim, gbps=1.0)  # slow link: backlog
         depths = []
 
         def record(packet, depth_bytes):
             depths.append(depth_bytes)
             return True
 
-        channel.forward.on_enqueue = record
+        forward.on_enqueue = record
         connection, data, received = start_transfer(sim, a, b, 40 * MSS)
         sim.run(until=60.0)
         assert received and received[0] == data
