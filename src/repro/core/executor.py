@@ -31,7 +31,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -107,9 +106,13 @@ class WorkUnit:
         return self.fn(*self.args, **self.kwargs)
 
 
+# What a worker ships back per unit: result, metric delta, trace events.
+_Outcome = Tuple[Any, Dict[str, Any], Optional[List[trace.TraceEvent]]]
+
+
 def _invoke(
     unit: WorkUnit, trace_spec: Optional[Dict[str, Any]] = None
-) -> Tuple[Any, Dict[str, Any], Optional[List[trace.TraceEvent]]]:
+) -> _Outcome:
     """Worker entry point: run a unit; capture metric + trace deltas.
 
     The delta is a full metric-registry delta (counters, gauges,
@@ -135,15 +138,22 @@ def _invoke(
 
 def _invoke_chunk(
     units: Sequence[WorkUnit], trace_spec: Optional[Dict[str, Any]] = None
-) -> List[Tuple[Any, Dict[str, Any], Optional[List[trace.TraceEvent]]]]:
+) -> List[Tuple[_Outcome, float]]:
     """Run several units in one worker round trip (chunked submission).
 
     Each unit still gets its own metric snapshot and (when tracing) its
     own fresh recorder, so the per-unit tuples shipped back are exactly
     what per-unit submission would have produced — chunking changes the
-    IPC count, never the payload.
+    IPC count, never the payload.  Each tuple is paired with the seconds
+    the unit ran in the worker, so the parent's runtime estimate leaves
+    out pool start-up and IPC.
     """
-    return [_invoke(unit, trace_spec) for unit in units]
+    outcomes = []
+    for unit in units:
+        started = time.perf_counter()
+        outcome = _invoke(unit, trace_spec)
+        outcomes.append((outcome, time.perf_counter() - started))
+    return outcomes
 
 
 # -- supervised execution (run-farm substrate) -------------------------------
@@ -213,10 +223,6 @@ def _supervised_worker(conn, unit: WorkUnit, attempt: int,
             conn.close()
         except OSError:
             pass
-
-
-class _InProcessTimeout(Exception):
-    """SIGALRM-driven deadline hit on the in-process fallback path."""
 
 
 @dataclass
@@ -398,14 +404,11 @@ class ParallelExecutor:
         if not serial and self.serial_bypass and self._should_bypass(len(units)):
             self.bypasses += 1
             serial = True
+        if not serial:
+            return self._map_parallel(units)
         started = time.perf_counter()
-        if serial:
-            results = self._map_serial(units)
-            self._observe(time.perf_counter() - started, len(units), workers=1)
-        else:
-            results = self._map_parallel(units)
-            self._observe(time.perf_counter() - started, len(units),
-                          workers=self._effective_workers())
+        results = self._map_serial(units)
+        self._observe(time.perf_counter() - started, len(units))
         return results
 
     def _should_bypass(self, n_units: int) -> bool:
@@ -423,16 +426,18 @@ class ParallelExecutor:
             return True
         return False
 
-    def _observe(self, elapsed: float, n_units: int, workers: int) -> None:
-        """Fold a batch timing into the per-unit runtime EWMA.
+    def _observe(self, busy_s: float, n_units: int) -> None:
+        """Fold a batch's unit-busy seconds into the per-unit runtime EWMA.
 
-        A parallel batch's wall time is divided across ``workers``, so
-        the per-unit cost it implies is ``elapsed * workers / n``.  Only
-        the bypass heuristic reads this — never results.
+        ``busy_s`` is the time the units themselves ran: the serial
+        wall time, or the sum of the per-unit times pool workers report
+        (which leaves out pool start-up and IPC).  Only the bypass
+        heuristic and the supervised health check read this — never
+        results.
         """
         if n_units <= 0:
             return
-        sample = elapsed * workers / n_units
+        sample = busy_s / n_units
         if self._seconds_per_unit is None:
             self._seconds_per_unit = sample
         else:
@@ -482,15 +487,19 @@ class ParallelExecutor:
             self.close()
             return self._map_serial(units)
         results: List[Any] = []
+        busy_s = 0.0
         # Merging in submission order reproduces the serial event
         # sequence (and counter totals) byte for byte.
         for chunk, chunk_outcomes in zip(chunks, outcomes):
-            for unit, (result, delta, events) in zip(chunk, chunk_outcomes):
+            for unit, ((result, delta, events), seconds) in zip(
+                    chunk, chunk_outcomes):
+                busy_s += seconds
                 metrics.merge(delta)
                 if events is not None and recorder is not None:
                     recorder.extend(events)
                     _emit_unit_profile(unit, len(events), delta)
                 results.append(result)
+        self._observe(busy_s, len(units))
         return results
 
     # -- supervised execution (per-unit processes, deadlines, kills) --------
@@ -514,9 +523,8 @@ class ParallelExecutor:
 
         Counter deltas and trace events from *successful* units merge in
         submission order (exactly like :meth:`map`), so a supervised run
-        of healthy units is byte-identical to a plain one.  Batches that
-        cannot be pickled fall back in-process, where the deadline is
-        enforced best-effort with ``SIGALRM`` (main thread only).
+        of healthy units is byte-identical to a plain one.  Workers are
+        forked, so a unit is never pickled (only its result is).
         """
         units = list(units)
         self.units_run += len(units)
@@ -525,17 +533,13 @@ class ParallelExecutor:
             attempts = [1] * len(units)
         if not units:
             return []
-        if not self._picklable(units):
-            self.fallbacks += 1
-            logger.debug("supervised batch of %d units is not picklable; "
-                         "running in-process", len(units))
-            return self._map_supervised_inprocess(units, unit_timeout_s,
-                                                  attempts)
         started_batch = time.perf_counter()
         results = self._map_supervised_procs(units, unit_timeout_s,
                                              heartbeat_dir, attempts)
-        self._observe(time.perf_counter() - started_batch, len(units),
-                      workers=self._effective_workers())
+        # Every supervised unit pays its own fork, so the wall time
+        # (spread over the concurrent workers) is its real cost.
+        self._observe((time.perf_counter() - started_batch)
+                      * self._effective_workers(), len(units))
         return results
 
     def _map_supervised_procs(
@@ -715,72 +719,6 @@ class ParallelExecutor:
                     "(heartbeat healthy)", state.proc.pid, state.unit.name,
                     elapsed, expected)
 
-    def _map_supervised_inprocess(
-        self,
-        units: List[WorkUnit],
-        unit_timeout_s: Optional[float],
-        attempts: Sequence[int],
-    ) -> List[Union[Any, "UnitFailure"]]:
-        """Fallback for unpicklable batches: same typed-failure contract.
-
-        The deadline is enforced with ``SIGALRM`` where possible (main
-        thread, POSIX); a numpy-bound unit may overshoot, but a pure-
-        Python hang is still contained.  Workers cannot be killed here,
-        so ``worker-lost`` never occurs on this path.
-        """
-        use_alarm = (
-            unit_timeout_s is not None
-            and hasattr(signal, "setitimer")
-            and threading.current_thread() is threading.main_thread()
-        )
-        results: List[Union[Any, UnitFailure]] = []
-        for unit, attempt in zip(units, attempts):
-            started = time.perf_counter()
-            cpu_started = time.process_time()
-            previous = None
-            if use_alarm:
-                def _on_alarm(_signum, _frame):
-                    raise _InProcessTimeout()
-                previous = signal.signal(signal.SIGALRM, _on_alarm)
-                signal.setitimer(signal.ITIMER_REAL, unit_timeout_s)
-            try:
-                before = metrics.snapshot()
-                if trace.TRACING:
-                    recorder = trace.recorder()
-                    before_appended = recorder.appended
-                    with trace.track(unit.name):
-                        result = unit.run()
-                    _emit_unit_profile(unit,
-                                       recorder.appended - before_appended,
-                                       metrics.delta_since(before))
-                else:
-                    result = unit.run()
-                self.last_profiles[unit.name] = UnitProfile(
-                    unit=unit.name,
-                    wall_s=time.perf_counter() - started,
-                    cpu_s=time.process_time() - cpu_started,
-                    sim_events=metrics.counter_delta(
-                        metrics.delta_since(before),
-                        instrument.EVENTS_FIRED))
-                results.append(result)
-            except _InProcessTimeout:
-                instrument.increment(instrument.RUNFARM_TIMEOUTS)
-                results.append(UnitFailure(
-                    unit=unit.name, kind=UnitFailure.TIMEOUT,
-                    elapsed_s=time.perf_counter() - started, attempt=attempt,
-                    message=f"exceeded {unit_timeout_s:.2f}s deadline "
-                            "(in-process)"))
-            except Exception as exc:  # noqa: BLE001 — typed record
-                results.append(UnitFailure(
-                    unit=unit.name, kind=UnitFailure.ERROR,
-                    elapsed_s=time.perf_counter() - started, attempt=attempt,
-                    message=str(exc), error_type=type(exc).__name__))
-            finally:
-                if use_alarm:
-                    signal.setitimer(signal.ITIMER_REAL, 0.0)
-                    signal.signal(signal.SIGALRM, previous)
-        return results
-
     # -- keyed (cache-aware) execution --------------------------------------
 
     def map_keyed(
@@ -795,9 +733,11 @@ class ParallelExecutor:
         cache in the parent (one lookup each, never submitted), misses
         are executed and the computed results are stored back — so a
         later batch (or CLI verb sharing a ``--cache-dir``) reuses them.
-        Results come back in unit order either way.  The run farm's
+        Results come back in unit order either way.  Every experiment
+        funnels its keyed batches through here, and the run farm's
         :class:`~repro.runfarm.supervisor.SupervisedExecutor` overrides
-        this seam to add manifests, retries, and quarantine.
+        this seam to add manifests, per-unit timeouts, retries, and
+        quarantine.
         """
         if len(units) != len(keys):
             raise ValueError("units and keys must have equal length")
@@ -846,19 +786,3 @@ def unit_content_key(unit: WorkUnit) -> Optional[str]:
         return None
     return cache_key("unit-pickle", hashlib.sha256(payload).hexdigest())
 
-
-def map_cached(
-    executor: ParallelExecutor,
-    units: Sequence[WorkUnit],
-    keys: Sequence[str],
-    store: Optional["ResultCache"] = None,
-) -> List[Any]:
-    """Run a batch through the content-addressed cache.
-
-    Thin wrapper over :meth:`ParallelExecutor.map_keyed` — the seam the
-    run farm's :class:`~repro.runfarm.supervisor.SupervisedExecutor`
-    overrides, so every experiment that funnels units through here gains
-    manifests, per-unit timeouts, retries, and quarantine for free when
-    the CLI installs a supervised executor.
-    """
-    return executor.map_keyed(units, keys, store)

@@ -23,7 +23,6 @@ inherited globals.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,26 +34,18 @@ ENGINES = (ENGINE_HYBRID, ENGINE_SIM)
 DEFAULT_ENGINE = ENGINE_HYBRID
 
 
-@dataclass(frozen=True)
-class HybridConfig:
-    """Tolerances of the validated analytic fast path.
-
-    ``sim_window_lo``/``sim_window_hi`` bound the ladder load factors
-    (offered rate / analytic capacity anchor) that are *always*
-    simulated — the knee window.  Rungs below the window are eligible
-    for analytic acceptance, rungs above for analytic rejection, but
-    only after the window-edge simulations agreed with the analytic
-    prediction (see ``measurement._knee_hybrid``).
-
-    ``p99_tolerance`` is the maximum relative |sim - analytic| p99
-    disagreement at the low spot-check under which analytic *latency*
-    is trusted; it only ever gates SLO-bounded probes — throughput
-    acceptance never relies on an analytic latency.
-    """
-
-    sim_window_lo: float = 0.78
-    sim_window_hi: float = 1.12
-    p99_tolerance: float = 0.35
+# Tolerances of the validated analytic fast path.  The knee window is
+# the band of ladder load factors (offered rate / analytic capacity
+# anchor) that is *always* simulated.  Rungs below it are eligible for
+# analytic acceptance, rungs above for analytic rejection, but only
+# after the window-edge simulations agreed with the analytic prediction
+# (see ``measurement._knee_hybrid``).
+SIM_WINDOW_LO = 0.78
+SIM_WINDOW_HI = 1.12
+# Maximum relative |sim - analytic| p99 disagreement at the low spot
+# check under which Fig. 5's sub-window rungs take the analytic p99
+# (``measurement.run_validated_ladder``).
+P99_TOLERANCE = 0.35
 
 
 @dataclass
@@ -73,7 +64,6 @@ class TrustRecord:
 
 
 _active_engine: str = DEFAULT_ENGINE
-_config: HybridConfig = HybridConfig()
 
 
 def configure_engine(mode: Optional[str]) -> str:
@@ -84,19 +74,11 @@ def configure_engine(mode: Optional[str]) -> str:
     return _active_engine
 
 
-def active_engine() -> str:
-    return _active_engine
-
-
 def resolve_engine(mode: Optional[str]) -> str:
     """An explicit engine argument, or the process default."""
     if mode is None:
         return _active_engine
     return _validated(mode)
-
-
-def config() -> HybridConfig:
-    return _config
 
 
 def _validated(mode: str) -> str:
@@ -105,14 +87,3 @@ def _validated(mode: str) -> str:
             f"unknown probe engine {mode!r} (expected one of {ENGINES})")
     return mode
 
-
-@contextmanager
-def engine_scope(mode: str):
-    """Temporarily switch the process engine (tests and comparisons)."""
-    global _active_engine
-    previous = _active_engine
-    _active_engine = _validated(mode)
-    try:
-        yield
-    finally:
-        _active_engine = previous

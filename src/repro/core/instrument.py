@@ -55,9 +55,6 @@ RUNFARM_WORKERS_SLOW = "runfarm.workers_slow"
 EVENTS_SCHEDULED = "sim.events_scheduled"
 EVENTS_FIRED = "sim.events_fired"
 TRACE_DROPPED = "trace.dropped"
-# SLO burn monitor (obs/slo.py): targets evaluated and breaches seen.
-SLO_EVALUATED = "slo.evaluated"
-SLO_BREACHES = "slo.breaches"
 
 
 def increment(name: str, amount: int = 1) -> None:

@@ -1,7 +1,7 @@
 """Deterministic random-stream management.
 
-Every stochastic component (packet generator, YCSB key chooser, fault
-schedule, ...) draws from its own named substream derived from one root seed,
+Every stochastic component (packet generator, YCSB key chooser, rate
+ladder, ...) draws from its own named substream derived from one root seed,
 so adding a component never perturbs the draws seen by another and whole
 experiments replay bit-identically.
 """

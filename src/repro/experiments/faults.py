@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cache import cache_key, get_cache
-from ..core.executor import ParallelExecutor, WorkUnit, map_cached
+from ..core.cache import cache_key
+from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from ..faults.models import SnicHealth
 from ..faults.retry import RetryPolicy, simulate_retries
@@ -56,7 +56,6 @@ from .fig4 import snic_platform_for
 from .measurement import (
     OperatingPoint,
     measure_operating_point_cached,
-    operating_point_cache_key,
     operating_point_json,
 )
 from .profiles import get_profile
@@ -258,8 +257,7 @@ def _run_balancer_scenario(
     streams: RandomStreams,
 ) -> ScenarioResult:
     horizon = n_packets / rate
-    timeline = FaultTimeline(scenario_specs(scenario, horizon), horizon,
-                             streams=streams)
+    timeline = FaultTimeline(scenario_specs(scenario, horizon), horizon)
     health = SnicHealth(timeline, target=SNIC_PATH)
     rng = streams.stream(f"faults:{function}:{scenario}")
     run = simulate_failover(config, rate, n_packets, rng, snic_health=health,
@@ -291,7 +289,7 @@ def _run_link_scenario(
     """
     horizon = n_packets / rate
     timeline = FaultTimeline(scenario_specs("link-burst-loss", horizon),
-                             horizon, streams=streams)
+                             horizon)
     rng = streams.stream(f"faults:{function}:link-burst-loss")
     run = simulate_failover(config, rate, n_packets, rng, snic_health=None,
                             deadline_s=deadline_s)
@@ -363,9 +361,7 @@ def compute_function_report(
 
     Rebuilds a fresh ``RandomStreams(seed)``; the operating points and
     every ``faults:{key}:...`` substream depend only on ``(seed, name)``,
-    so per-function fan-out reproduces the serial study exactly.  The
-    fault-timeline substreams (``fault:{scenario}``) restart per function
-    unit, keeping each function's scenario draws self-contained.
+    so per-function fan-out reproduces the serial study exactly.
     """
     logger.info("fault report: %s (%d scenarios)", key, len(scenarios))
     streams = RandomStreams(seed)
@@ -450,23 +446,7 @@ def run_faults_study(
                   n_requests, n_packets, seed)
         for key in functions
     ]
-    reports = map_cached(executor, units, keys)
-
-    # Back-fill the operating points measured inside worker processes so
-    # later verbs in this process (fig4 at the same fidelity, table5)
-    # reuse them without re-simulating.
-    store = get_cache()
-    for report in reports:
-        store.put(
-            operating_point_cache_key(report.function, "host", seed, samples,
-                                      n_requests),
-            report.host,
-        )
-        store.put(
-            operating_point_cache_key(report.function, report.snic_platform,
-                                      seed, samples, n_requests),
-            report.snic,
-        )
+    reports = executor.map_keyed(units, keys)
     return FaultStudyResult(reports=list(reports))
 
 

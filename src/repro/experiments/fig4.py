@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core import hybrid
-from ..core.executor import ParallelExecutor, WorkUnit, map_cached
+from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from .measurement import (
     ACCEL_PLATFORM,
@@ -126,7 +126,7 @@ def run_fig4(
     cache_keys: List[str] = []
     for key, profile in pairs:
         for platform in ("host", snic_platform_for(profile)):
-            args = (key, platform, seed, samples, n_requests, None, engine)
+            args = (key, platform, seed, samples, n_requests, engine)
             units.append(
                 WorkUnit(name=f"fig4:{key}:{platform}",
                          fn=compute_operating_point, args=args)
@@ -134,7 +134,7 @@ def run_fig4(
             cache_keys.append(operating_point_cache_key(*args))
     logger.info("fig4: measuring %d operating points (%d functions, jobs=%d)",
                 len(units), len(pairs), executor.jobs)
-    points = map_cached(executor, units, cache_keys)
+    points = executor.map_keyed(units, cache_keys)
 
     rows: List[Fig4Row] = []
     for index, (key, profile) in enumerate(pairs):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core import hybrid
 from ..core.cache import cache_key
-from ..core.executor import ParallelExecutor, WorkUnit, map_cached
+from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from ..core.units import gbps_to_bytes_per_second
 from .measurement import ACCEL_PLATFORM, run_fixed_rate, run_validated_ladder
@@ -48,15 +48,6 @@ class Fig5Series:
 
     def max_achieved_gbps(self) -> float:
         return max((p.achieved_gbps for p in self.points), default=0.0)
-
-    def p99_at_max(self) -> float:
-        best = max(self.points, key=lambda p: p.achieved_gbps)
-        return best.p99_latency_s
-
-    def knee_gbps(self, p99_wall_s: float = 100e-6) -> float:
-        """Highest offered rate whose p99 stays under the wall."""
-        good = [p.offered_gbps for p in self.points if p.p99_latency_s <= p99_wall_s]
-        return max(good, default=0.0)
 
 
 def _rate_for_gbps(profile: FunctionProfile, gbps: float) -> float:
@@ -190,7 +181,7 @@ def run_fig5(
     ]
     logger.info("fig5: measuring %d curves x %d rates (jobs=%d)",
                 len(units), len(rates_gbps), executor.jobs)
-    series = map_cached(executor, units, keys)
+    series = executor.map_keyed(units, keys)
 
     figure: Dict[str, List[Fig5Series]] = {ruleset: [] for ruleset in rulesets}
     for (ruleset, _, _, _), curve in zip(specs, series):

@@ -614,16 +614,17 @@ def run_validated_ladder(
     """Hybrid rate ladder for full sweeps (the Fig. 5 fast path).
 
     Simulates the knee window — rungs whose load factor against the
-    analytic capacity anchor falls inside ``HybridConfig.sim_window`` —
-    plus one low and one high spot-check rung (the lowest and highest
-    offered rates), all in one batched :func:`run_ladder` call.  The
-    remaining rungs are answered by :func:`predict_fixed_rate`, but only
-    after the spot checks validate the analytic model:
+    analytic capacity anchor lies between ``hybrid.SIM_WINDOW_LO`` and
+    ``hybrid.SIM_WINDOW_HI`` — plus one low and one high spot-check rung
+    (the lowest and highest offered rates), all in one batched
+    :func:`run_ladder` call.  The remaining rungs are answered by
+    :func:`predict_fixed_rate`, but only after the spot checks validate
+    the analytic model:
 
     * *low side* — the lowest-rate simulation must agree with the
       prediction on acceptability **and** its p99 must match within
-      ``p99_tolerance`` (the sub-window p99s appear verbatim in the
-      Fig. 5 latency curves, so throughput agreement alone is not
+      ``hybrid.P99_TOLERANCE`` (the sub-window p99s appear verbatim in
+      the Fig. 5 latency curves, so throughput agreement alone is not
       enough);
     * *high side* — the highest-rate simulation must agree with the
       prediction that the rung overloads.
@@ -631,12 +632,11 @@ def run_validated_ladder(
     A failed spot check degrades that side back to batched simulation,
     so the fast path only ever engages inside tolerance.  The knee
     window itself is always simulated, which keeps every p99-wall
-    crossing (Fig. 5's ``knee_gbps``) simulation-backed.
+    crossing on the Fig. 5 curves simulation-backed.
     """
     rates = [float(rate) for rate in rates]
     if len(rates) <= 2:
         return run_ladder(profile, platform, rates, streams, n_requests)
-    cfg = hybrid.config()
     anchor = min(estimate_capacity_rps(profile, platform),
                  _nic_cap_rps(profile))
     if platform == ACCEL_PLATFORM:
@@ -645,10 +645,10 @@ def run_validated_ladder(
         return run_ladder(profile, platform, rates, streams, n_requests)
 
     factors = [rate / anchor for rate in rates]
-    below = [i for i, f in enumerate(factors) if f < cfg.sim_window_lo]
-    above = [i for i, f in enumerate(factors) if f > cfg.sim_window_hi]
+    below = [i for i, f in enumerate(factors) if f < hybrid.SIM_WINDOW_LO]
+    above = [i for i, f in enumerate(factors) if f > hybrid.SIM_WINDOW_HI]
     window = [i for i, f in enumerate(factors)
-              if cfg.sim_window_lo <= f <= cfg.sim_window_hi]
+              if hybrid.SIM_WINDOW_LO <= f <= hybrid.SIM_WINDOW_HI]
     if not window:
         # Degenerate grid: keep the rung nearest the anchor simulated.
         nearest = min(range(len(rates)), key=lambda i: abs(factors[i] - 1.0))
@@ -690,17 +690,17 @@ def run_validated_ladder(
         if np.isfinite(sim_lo.latency_p99) and sim_lo.latency_p99 > 0:
             p99_rel_err = abs(sim_lo.latency_p99 - pred_lo.latency_p99) \
                 / sim_lo.latency_p99
-        trust_low = (p99_rel_err <= cfg.p99_tolerance
-                     and _rung_acceptable(sim_lo, rates[spot_low], None)
-                     == _rung_acceptable(pred_lo, rates[spot_low], None))
+        trust_low = (p99_rel_err <= hybrid.P99_TOLERANCE
+                     and _rung_acceptable(sim_lo, rates[spot_low])
+                     == _rung_acceptable(pred_lo, rates[spot_low]))
         if not trust_low:
             simulate(below)
     if spot_high is not None:
         sim_hi = simulated[spot_high]
         pred_hi = predict_fixed_rate(profile, platform, rates[spot_high],
                                      n_requests)
-        trust_high = (_rung_acceptable(sim_hi, rates[spot_high], None)
-                      == _rung_acceptable(pred_hi, rates[spot_high], None))
+        trust_high = (_rung_acceptable(sim_hi, rates[spot_high])
+                      == _rung_acceptable(pred_hi, rates[spot_high]))
         if not trust_high:
             simulate(above)
 
@@ -718,7 +718,6 @@ def measure_operating_point(
     streams: Optional[RandomStreams] = None,
     n_requests: int = 20_000,
     load_fraction: float = 0.95,
-    slo_p99: Optional[float] = None,
     engine: Optional[str] = None,
 ) -> OperatingPoint:
     """Find the saturation knee, then measure at ``load_fraction`` of it.
@@ -727,7 +726,7 @@ def measure_operating_point(
     the analytic capacity estimate: capacity is the largest offered rate
     the system still serves with <=5 % loss (losses come from the stack's
     bounded buffers), which matches the paper's "maximum sustainable
-    throughput".  An optional ``slo_p99`` additionally bounds the knee.
+    throughput".
 
     ``engine`` selects the probe engine (:mod:`repro.core.hybrid`):
     ``"sim"`` simulates every ladder rung one probe at a time (the
@@ -750,11 +749,10 @@ def measure_operating_point(
 
     ladder = anchor * LADDER_FACTORS
     if engine == hybrid.ENGINE_SIM:
-        knee_rate = _knee_sim(profile, platform, ladder, streams,
-                              n_requests, slo_p99)
+        knee_rate = _knee_sim(profile, platform, ladder, streams, n_requests)
     else:
         knee_rate = _knee_hybrid(profile, platform, anchor, ladder, streams,
-                                 n_requests, slo_p99)
+                                 n_requests)
 
     operating_rate = knee_rate * load_fraction
     metrics = run_fixed_rate(profile, platform, operating_rate, streams, n_requests)
@@ -771,16 +769,12 @@ def measure_operating_point(
     )
 
 
-def _rung_acceptable(metrics: RunMetrics, rate: float,
-                     slo_p99: Optional[float]) -> bool:
+def _rung_acceptable(metrics: RunMetrics, rate: float) -> bool:
     served_fraction = metrics.completed_rate / rate if rate > 0 else 1.0
-    acceptable = served_fraction >= 0.95
-    if slo_p99 is not None and metrics.latency_p99 > slo_p99:
-        acceptable = False
-    return acceptable
+    return served_fraction >= 0.95
 
 
-def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
+def _select_knee(ladder, rung_metrics) -> float:
     """The ladder's knee: largest acceptable rung still improving
     completed rate (identical to the legacy inline loop)."""
     knee_rate = float(ladder[0])
@@ -788,7 +782,7 @@ def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
     best_completed = 0.0
     for rate, metrics in zip(ladder, rung_metrics):
         rate = float(rate)
-        if (_rung_acceptable(metrics, rate, slo_p99)
+        if (_rung_acceptable(metrics, rate)
                 and metrics.completed_rate >= best_completed):
             best_completed = metrics.completed_rate
             knee_rate = rate
@@ -798,14 +792,13 @@ def _select_knee(ladder, rung_metrics, slo_p99: Optional[float]) -> float:
     return knee_rate
 
 
-def _knee_sim(profile, platform, ladder, streams, n_requests,
-              slo_p99) -> float:
+def _knee_sim(profile, platform, ladder, streams, n_requests) -> float:
     """Legacy knee search: every rung is its own simulation."""
     rung_metrics = [
         run_fixed_rate(profile, platform, float(rate), streams, n_requests)
         for rate in ladder
     ]
-    return _select_knee(ladder, rung_metrics, slo_p99)
+    return _select_knee(ladder, rung_metrics)
 
 
 def _trust_key(profile: FunctionProfile, platform: str, n_requests: int,
@@ -837,7 +830,7 @@ def _trust_key(profile: FunctionProfile, platform: str, n_requests: int,
 
 
 def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
-                 slo_p99, record: Optional[TrustRecord] = None,
+                 record: Optional[TrustRecord] = None,
                  record_checked: bool = False) -> float:
     """Hybrid knee search: batched simulation of the knee window,
     validated analytic answers elsewhere.
@@ -854,7 +847,6 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
     record, and a window simulation that contradicts the record's
     promise invalidates it and re-runs the full spot-check pass.
     """
-    cfg = hybrid.config()
     store = get_cache()
     factors = np.asarray(ladder, dtype=float) / anchor if anchor > 0 else LADDER_FACTORS
     trust_key = _trust_key(profile, platform, n_requests, streams.root_seed,
@@ -871,7 +863,7 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         ]
     else:
         sim_idx = [index for index, factor in enumerate(factors)
-                   if cfg.sim_window_lo <= factor <= cfg.sim_window_hi]
+                   if hybrid.SIM_WINDOW_LO <= factor <= hybrid.SIM_WINDOW_HI]
     if not sim_idx:
         # Degenerate ladder (all rungs outside the window): simulate the
         # rung closest to the anchor so the knee stays simulation-backed.
@@ -902,17 +894,17 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         # prediction means the record's promise no longer holds —
         # invalidate and redo the full edge-validation pass.
         consistent = all(
-            _rung_acceptable(simulated[i], float(ladder[i]), slo_p99)
+            _rung_acceptable(simulated[i], float(ladder[i]))
             == _rung_acceptable(
                 predict_fixed_rate(profile, platform, float(ladder[i]),
                                    n_requests),
-                float(ladder[i]), slo_p99)
+                float(ladder[i]))
             for i in simulated
         )
         if not consistent:
             store.put(trust_key, None)
             return _knee_hybrid(profile, platform, anchor, ladder, streams,
-                                n_requests, slo_p99, record=None,
+                                n_requests, record=None,
                                 record_checked=True)
     else:
         low_edge, high_edge = min(simulated), max(simulated)
@@ -920,25 +912,10 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         pred_low = predict_fixed_rate(profile, platform, low_rate, n_requests)
         pred_high = predict_fixed_rate(profile, platform, high_rate, n_requests)
         sim_low, sim_high = simulated[low_edge], simulated[high_edge]
-        trust_low = (_rung_acceptable(sim_low, low_rate, None)
-                     and _rung_acceptable(pred_low, low_rate, None))
-        trust_high = (not _rung_acceptable(sim_high, high_rate, None)
-                      and not _rung_acceptable(pred_high, high_rate, None))
-        p99_rel_err = float("inf")
-        if np.isfinite(sim_low.latency_p99) and sim_low.latency_p99 > 0:
-            p99_rel_err = abs(sim_low.latency_p99 - pred_low.latency_p99) \
-                / sim_low.latency_p99
-        p99_trusted = p99_rel_err <= cfg.p99_tolerance
-        if slo_p99 is not None and trust_low:
-            # Latency gates acceptance below the window: only trust the
-            # analytic fill if its p99 model validated *and* every
-            # filled rung clears the SLO by the tolerance margin.
-            safe = p99_trusted and all(
-                predictions[i].latency_p99 * (1.0 + cfg.p99_tolerance)
-                <= slo_p99
-                for i in predictions if i < low_edge
-            )
-            trust_low = trust_low and safe
+        trust_low = (_rung_acceptable(sim_low, low_rate)
+                     and _rung_acceptable(pred_low, low_rate))
+        trust_high = (not _rung_acceptable(sim_high, high_rate)
+                      and not _rung_acceptable(pred_high, high_rate))
         if not trust_low:
             simulate(range(0, low_edge))
         if not trust_high:
@@ -957,7 +934,7 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
         simulated.get(index) or predictions[index]
         for index in range(len(ladder))
     ]
-    return _select_knee(ladder, rung_metrics, slo_p99)
+    return _select_knee(ladder, rung_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +942,7 @@ def _knee_hybrid(profile, platform, anchor, ladder, streams, n_requests,
 # ---------------------------------------------------------------------------
 #
 # An operating-point measurement is a pure function of
-# (profile_key, platform, seed, samples, n_requests, slo_p99): every RNG
+# (profile_key, platform, seed, samples, n_requests): every RNG
 # substream it touches is derived from (seed, "{key}:{platform}:{rate}"),
 # names that no other measurement uses, so rebuilding a fresh
 # RandomStreams(seed) inside the unit reproduces exactly the draws the
@@ -979,7 +956,6 @@ def compute_operating_point(
     seed: int,
     samples: int,
     n_requests: int,
-    slo_p99: Optional[float] = None,
     engine: Optional[str] = None,
 ) -> OperatingPoint:
     """The picklable work unit behind Fig. 4 rows and fault baselines.
@@ -990,7 +966,7 @@ def compute_operating_point(
     """
     profile = get_profile(profile_key, samples=samples)
     return measure_operating_point(
-        profile, platform, RandomStreams(seed), n_requests, slo_p99=slo_p99,
+        profile, platform, RandomStreams(seed), n_requests,
         engine=hybrid.resolve_engine(engine),
     )
 
@@ -1001,7 +977,6 @@ def operating_point_cache_key(
     seed: int,
     samples: int,
     n_requests: int,
-    slo_p99: Optional[float] = None,
     engine: Optional[str] = None,
 ) -> str:
     """Content hash of everything :func:`compute_operating_point` reads.
@@ -1014,7 +989,7 @@ def operating_point_cache_key(
     """
     return cache_key(
         "operating-point", profile_key, platform, seed, samples, n_requests,
-        slo_p99, hybrid.resolve_engine(engine),
+        hybrid.resolve_engine(engine),
     )
 
 
@@ -1024,7 +999,6 @@ def measure_operating_point_cached(
     seed: int,
     samples: int,
     n_requests: int,
-    slo_p99: Optional[float] = None,
     engine: Optional[str] = None,
 ) -> OperatingPoint:
     """Memoized operating point for *canonical* profiles.
@@ -1037,13 +1011,13 @@ def measure_operating_point_cached(
     engine = hybrid.resolve_engine(engine)
     store = get_cache()
     key = operating_point_cache_key(
-        profile_key, platform, seed, samples, n_requests, slo_p99, engine
+        profile_key, platform, seed, samples, n_requests, engine
     )
     found, point = store.get(key)
     if found:
         return point
     point = compute_operating_point(
-        profile_key, platform, seed, samples, n_requests, slo_p99, engine
+        profile_key, platform, seed, samples, n_requests, engine
     )
     store.put(key, point)
     return point

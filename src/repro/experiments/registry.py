@@ -61,7 +61,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -364,9 +363,6 @@ class ExperimentContext:
                 self.slo_findings[name] = list(findings)
         return result
 
-    def has_result(self, name: str) -> bool:
-        return name in self._results
-
 
 # ---------------------------------------------------------------------------
 # The registry proper
@@ -458,26 +454,3 @@ def reset_for_tests() -> None:
         _ORDER.clear()
         _LOADED = False
 
-
-def dependency_order(targets: Optional[Sequence[str]] = None) -> List[str]:
-    """Topologically sorted experiment names (dependencies first)."""
-    load_all()
-    order: List[str] = []
-    seen: Dict[str, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(name: str, chain: Tuple[str, ...]) -> None:
-        state = seen.get(name)
-        if state == 1:
-            return
-        if state == 0:
-            cycle = " -> ".join(chain + (name,))
-            raise RuntimeError(f"experiment dependency cycle: {cycle}")
-        seen[name] = 0
-        for dep in get(name).depends:
-            visit(dep, chain + (name,))
-        seen[name] = 1
-        order.append(name)
-
-    for name in (targets if targets is not None else names()):
-        visit(name, ())
-    return order

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import calibration
 from ..core import hybrid
-from ..core.executor import ParallelExecutor, WorkUnit, map_cached
+from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from .fig4 import snic_platform_for
 from .measurement import (
@@ -149,10 +149,9 @@ def run_sensitivity(
     executor = executor or ParallelExecutor(1)
     engine = hybrid.resolve_engine(engine)
 
-    host_args = [(key, "host", seed, samples, n_requests, None, engine)
+    host_args = [(key, "host", seed, samples, n_requests, engine)
                  for key in keys]
-    host_points = map_cached(
-        executor,
+    host_points = executor.map_keyed(
         [WorkUnit(name=f"sensitivity:{key}:host", fn=compute_operating_point,
                   args=args) for key, args in zip(keys, host_args)],
         [operating_point_cache_key(*args) for args in host_args],

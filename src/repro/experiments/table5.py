@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.tco import TcoComparison, compare
 from ..core import hybrid
-from ..core.executor import ParallelExecutor, WorkUnit, map_cached
+from ..core.executor import ParallelExecutor, WorkUnit
 from ..core.rng import RandomStreams
 from .fig4 import snic_platform_for
 from .measurement import compute_operating_point, operating_point_cache_key
@@ -74,11 +74,11 @@ def run_table5(
     for _, key in point_apps:
         profile = get_profile(key, samples=samples)
         for platform in ("host", snic_platform_for(profile)):
-            args = (key, platform, seed, samples, n_requests, None, engine)
+            args = (key, platform, seed, samples, n_requests, engine)
             units.append(WorkUnit(name=f"table5:{key}:{platform}",
                                   fn=compute_operating_point, args=args))
             keys.append(operating_point_cache_key(*args))
-    points = map_cached(executor, units, keys)
+    points = executor.map_keyed(units, keys)
 
     comparisons: List[TcoComparison] = []
     index = 0

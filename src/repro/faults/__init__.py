@@ -2,8 +2,8 @@
 
 The simulator's happy path answers "what does the SNIC buy at steady
 state"; this package answers "what happens when the offload path stops
-keeping up".  It provides deterministic fault schedules (one-shot,
-periodic, MTBF/MTTR stochastic), a timestamp-indexed health model
+keeping up".  It provides deterministic one-shot fault schedules (and
+rack-wide families of them), a timestamp-indexed health model
 interpreting outage / thermal-throttle / core-loss faults, and
 timeout-retry-with-backoff recovery mechanics.  The availability
 experiment lives in :mod:`repro.experiments.faults`.
@@ -15,8 +15,6 @@ from .domains import (
     outage_windows,
     rack_outage,
     rack_targets,
-    spine_outage,
-    spine_target,
 )
 from .models import SnicHealth
 from .retry import RetryOutcome, RetryPolicy, simulate_retries
@@ -49,6 +47,4 @@ __all__ = [
     "outage_windows",
     "rack_outage",
     "rack_targets",
-    "spine_outage",
-    "spine_target",
 ]

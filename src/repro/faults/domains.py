@@ -1,44 +1,30 @@
-"""Correlated fault domains: rack- and switch-scope schedules.
+"""Correlated fault domains: rack-scope schedules.
 
 Single-node fault schedules treat every target independently; at cluster
 scale the interesting failures are *correlated* — a rack PDU trip takes
-every node in the rack down together, a spine reboot blackholes every
-flow hashed onto it.  This module expands one logical event into a
-per-target :class:`~repro.faults.schedule.FaultSpec` family sharing a
-``correlation`` key, so :func:`~repro.faults.schedule.materialize` draws
-each member from a freshly re-created substream and the whole domain
-fails and recovers in lockstep (see the ``correlation`` field).
+every node in the rack down together.  This module expands one logical
+event into a per-target family of one-shot
+:class:`~repro.faults.schedule.FaultSpec` objects with the same window,
+so the whole domain fails and recovers in lockstep.
 
 Targets follow the cluster naming convention: ``node:<id>`` for server
-nodes and ``spine:<s>`` for spine switches, which
-:mod:`repro.cluster.fabric` and :class:`repro.cluster.node.Node`
-understand.  :func:`outage_windows` flattens a materialized timeline
-back into per-target ``(start, end)`` windows — the shape
+nodes, which :class:`repro.cluster.node.Node` understands.
+:func:`outage_windows` flattens a materialized timeline back into
+per-target ``(start, end)`` windows — the shape
 :class:`repro.offload.loadbalancer.NodePathConfig` expects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .schedule import (
-    KIND_OUTAGE,
-    Episode,
-    FaultSpec,
-    FaultTimeline,
-    MODE_ONE_SHOT,
-    MODE_STOCHASTIC,
-)
+from .schedule import KIND_OUTAGE, Episode, FaultSpec, FaultTimeline
 
 # Target-id helpers (the cluster layer's component namespace).
 
 
 def node_target(node_id: int) -> str:
     return f"node:{node_id}"
-
-
-def spine_target(spine: int) -> str:
-    return f"spine:{spine}"
 
 
 def rack_targets(topo, rack: int) -> List[str]:
@@ -52,59 +38,28 @@ def rack_targets(topo, rack: int) -> List[str]:
 
 def correlated(name: str, targets: Sequence[str], *,
                kind: str = KIND_OUTAGE, severity: float = 1.0,
-               mtbf_s: float = 0.0, mttr_s: float = 0.0,
                start_s: float = 0.0,
                duration_s: float = 0.0) -> List[FaultSpec]:
     """Expand one logical event into per-target specs that fail together.
 
-    With ``mtbf_s``/``mttr_s`` the members are stochastic and share the
-    ``correlation`` key ``name``, so every member materializes identical
-    episodes.  With ``duration_s`` alone the event is a deterministic
-    one-shot (already trivially correlated).  Member specs are named
-    ``{name}@{target}`` so :class:`FaultTimeline` keeps them distinct.
+    Every member is a one-shot spec over the same window.  Members are
+    named ``{name}@{target}`` so :class:`FaultTimeline` keeps them
+    distinct.
     """
     if not targets:
         raise ValueError("correlated() needs at least one target")
-    stochastic = mtbf_s > 0 or mttr_s > 0
-    if stochastic and duration_s > 0:
-        raise ValueError("give mtbf_s/mttr_s or duration_s, not both")
-    specs: List[FaultSpec] = []
-    for target in targets:
-        if stochastic:
-            specs.append(FaultSpec(
-                name=f"{name}@{target}", target=target, kind=kind,
-                severity=severity, mode=MODE_STOCHASTIC, start_s=start_s,
-                mtbf_s=mtbf_s, mttr_s=mttr_s, correlation=name))
-        else:
-            specs.append(FaultSpec(
-                name=f"{name}@{target}", target=target, kind=kind,
-                severity=severity, mode=MODE_ONE_SHOT, start_s=start_s,
-                duration_s=duration_s))
-    return specs
+    return [FaultSpec.one_shot(f"{name}@{target}", target, start_s,
+                               duration_s, kind=kind, severity=severity)
+            for target in targets]
 
 
-def rack_outage(topo, rack: int, *, mtbf_s: float = 0.0, mttr_s: float = 0.0,
-                start_s: float = 0.0, duration_s: float = 0.0,
+def rack_outage(topo, rack: int, *, start_s: float = 0.0,
+                duration_s: float = 0.0,
                 name: Optional[str] = None) -> List[FaultSpec]:
     """A whole-rack power event: every node in the rack down together."""
     return correlated(name or f"rack{rack}-power", rack_targets(topo, rack),
-                      kind=KIND_OUTAGE, mtbf_s=mtbf_s, mttr_s=mttr_s,
-                      start_s=start_s, duration_s=duration_s)
-
-
-def spine_outage(topo, spine: int, *, mtbf_s: float = 0.0, mttr_s: float = 0.0,
-                 start_s: float = 0.0, duration_s: float = 0.0,
-                 name: Optional[str] = None) -> List[FaultSpec]:
-    """A spine-switch event: one spec targeting ``spine:<s>``.
-
-    Kept as a (single-member) correlated family for symmetry, so callers
-    can concatenate rack and spine schedules without special cases.
-    """
-    if not 0 <= spine < topo.spines:
-        raise ValueError(f"spine {spine} outside topology ({topo.spines})")
-    return correlated(name or f"spine{spine}-reboot", [spine_target(spine)],
-                      kind=KIND_OUTAGE, mtbf_s=mtbf_s, mttr_s=mttr_s,
-                      start_s=start_s, duration_s=duration_s)
+                      kind=KIND_OUTAGE, start_s=start_s,
+                      duration_s=duration_s)
 
 
 def outage_windows(timeline: FaultTimeline) -> Dict[str, List[Episode]]:

@@ -5,7 +5,6 @@ from .advisor import (
     FleetPlacement,
     PlacementDecision,
     PlatformPrediction,
-    placement_table,
     predict_platform,
     recommend,
     recommend_fleet,
@@ -40,7 +39,6 @@ __all__ = [
     "simulate_fleet",
     "PlacementDecision",
     "PlatformPrediction",
-    "placement_table",
     "predict_platform",
     "recommend",
     "BalancerConfig",

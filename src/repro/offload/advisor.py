@@ -11,7 +11,7 @@ SLO, with the predicted numbers exposed so the decision is auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -246,15 +246,3 @@ def recommend_fleet(
         reason=reason,
     )
 
-
-def placement_table(profiles: List[FunctionProfile],
-                    slo_p99: Optional[float] = None) -> str:
-    lines = [f"{'function':<26} {'choice':<10} {'capacities (rps)'}"]
-    for profile in profiles:
-        decision = recommend(profile, slo_p99=slo_p99)
-        capacities = ", ".join(
-            f"{name}={pred.capacity_rps:,.0f}"
-            for name, pred in sorted(decision.predictions.items())
-        )
-        lines.append(f"{profile.key:<26} {decision.platform:<10} {capacities}")
-    return "\n".join(lines)

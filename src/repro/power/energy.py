@@ -39,9 +39,3 @@ def efficiency_ratio(snic: EnergyReport, host: EnergyReport) -> float:
         return float("inf")
     return snic.efficiency / host.efficiency
 
-
-def energy_per_request(report: EnergyReport) -> float:
-    """Joules per unit of work — the TCO-relevant quantity."""
-    if report.throughput <= 0:
-        return float("inf")
-    return report.total_power_w / report.throughput

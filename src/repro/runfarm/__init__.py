@@ -8,7 +8,8 @@ drives batches under per-unit deadlines, harness-level retry/backoff,
 and poison-pill quarantine.  The CLI installs a
 :class:`~repro.runfarm.supervisor.SupervisedExecutor` whenever a runfarm
 flag is active, so every registry-declared experiment inherits the whole
-machinery through its existing ``map_cached``/``executor.map`` calls.
+machinery through its existing ``executor.map_keyed``/``executor.map``
+calls.
 """
 
 from .manifest import ManifestState, RunManifest, UnitRecord

@@ -27,7 +27,7 @@ and the content-addressed cache that makes every registry-declared run
   run (units are pure functions of their arguments).
 
 :class:`SupervisedExecutor` plugs all of this into the existing
-``map_cached``/``executor.map`` seam, so every experiment gains
+``executor.map_keyed``/``executor.map`` seams, so every experiment gains
 supervision with zero per-experiment changes.
 """
 
@@ -260,8 +260,8 @@ class SupervisedExecutor(ParallelExecutor):
     ``--resume``, ``--unit-timeout``, ``--max-unit-attempts``) is
     active.  Both execution seams route through the supervisor:
 
-    * :meth:`map_keyed` (every ``map_cached`` call site) uses the
-      experiments' own content-addressed keys;
+    * :meth:`map_keyed` uses the experiments' own content-addressed
+      keys;
     * :meth:`map` (table4, microburst, auxiliary sweeps) derives keys
       from each unit's pickle bytes, so even those batches journal to
       the manifest and skip-on-resume.

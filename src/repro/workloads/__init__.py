@@ -6,9 +6,8 @@ from .pktgen import (
     gbps_stream,
     pcap_mix_stream,
     payload_stream,
-    trace_driven_stream,
 )
-from .traces import RateTrace, constant_trace, hyperscaler_trace, summarize
+from .traces import RateTrace, hyperscaler_trace, summarize
 from .ycsb import (
     WORKLOADS,
     Operation,
@@ -29,9 +28,7 @@ __all__ = [
     "gbps_stream",
     "pcap_mix_stream",
     "payload_stream",
-    "trace_driven_stream",
     "RateTrace",
-    "constant_trace",
     "hyperscaler_trace",
     "summarize",
     "WORKLOADS",

@@ -1,16 +1,15 @@
 """DPDK-Pktgen-style packet generation (§3.4).
 
 Open-loop generators producing packet arrival times and sizes: fixed-size
-streams at a target rate (the Fig. 5 rate sweeps use MTU packets), the
-mixed-size PCAP distribution standing in for the CTU-Mixed-Capture-5
-trace, and trace-driven generation following a measured rate series (the
-§5.1 hyperscaler replay).
+streams at a target rate (the Fig. 5 rate sweeps use MTU packets) and
+the mixed-size PCAP distribution standing in for the CTU-Mixed-Capture-5
+trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,41 +88,6 @@ def pcap_mix_stream(
     rate_pps = gbps_to_bytes_per_second(gbps) / mean_size
     gaps = rng.exponential(1.0 / rate_pps, size=count)
     return PacketSample(arrivals=np.cumsum(gaps), sizes=sizes.astype(np.int64))
-
-
-def trace_driven_stream(
-    rate_series_gbps: Sequence[float],
-    interval_s: float,
-    packet_bytes: int,
-    rng: np.random.Generator,
-    max_packets_per_interval: Optional[int] = None,
-) -> PacketSample:
-    """Follow a measured rate series: interval i sends at its Gb/s value.
-
-    This is how the paper replays the hyperscaler trace through
-    DPDK-Pktgen ("we modify DPDK-Pktgen to send packets, following the
-    packet rate distribution of the network trace", §5.1).
-    """
-    arrivals: List[np.ndarray] = []
-    for index, gbps in enumerate(rate_series_gbps):
-        if gbps <= 0:
-            continue
-        rate_pps = gbps_to_bytes_per_second(gbps) / packet_bytes
-        expected = rate_pps * interval_s
-        n = int(min(expected, max_packets_per_interval or expected))
-        if n < 1:
-            n = 1
-        gaps = rng.exponential(interval_s / n, size=n)
-        offsets = np.cumsum(gaps)
-        offsets = offsets[offsets < interval_s]
-        arrivals.append(index * interval_s + offsets)
-    if not arrivals:
-        return PacketSample(np.array([]), np.array([], dtype=np.int64))
-    all_arrivals = np.concatenate(arrivals)
-    return PacketSample(
-        arrivals=all_arrivals,
-        sizes=np.full(len(all_arrivals), packet_bytes, dtype=np.int64),
-    )
 
 
 def payload_stream(

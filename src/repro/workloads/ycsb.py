@@ -10,7 +10,7 @@ standard workload letter presets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -102,10 +102,3 @@ def run_phase(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[Operatio
         else:
             yield Operation("update", record_key(index), value)
 
-
-def operation_mix(operations: List[Operation]) -> Tuple[float, float]:
-    """(read fraction, update fraction) actually generated."""
-    if not operations:
-        return 0.0, 0.0
-    reads = sum(1 for op in operations if op.kind == "read")
-    return reads / len(operations), 1.0 - reads / len(operations)

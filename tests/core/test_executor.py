@@ -9,7 +9,6 @@ bytes whether they run in-process or in a worker pool.
 from __future__ import annotations
 
 import io
-import signal
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.core.cache import ResultCache, cache_key, configure
 from repro.core.executor import (
     ParallelExecutor,
     WorkUnit,
-    map_cached,
     resolve_jobs,
 )
 from repro.core.rng import RandomStreams
@@ -203,7 +201,7 @@ class TestFig4Equivalence:
             assert a.snic.server_power_w == b.snic.server_power_w
 
 
-class TestMapCached:
+class TestMapKeyed:
     def test_hits_skip_submission_and_misses_are_stored(self):
         store = ResultCache()
         keys = [cache_key("sq", i) for i in range(4)]
@@ -211,7 +209,7 @@ class TestMapCached:
                  for i in range(4)]
         store.put(keys[1], 111)  # pre-seed one hit
         executor = ParallelExecutor(jobs=1)
-        results = map_cached(executor, units, keys, store=store)
+        results = executor.map_keyed(units, keys, store=store)
         assert results == [0, 111, 4, 9]
         # Every miss landed in the cache.
         for i in (0, 2, 3):
@@ -226,10 +224,9 @@ class TestMapCached:
             args=(CHEAP_KEYS[0], "host", SEED, SAMPLES, N_REQUESTS),
         )
         store = ResultCache()
-        first = map_cached(ParallelExecutor(jobs=1), [unit], [key],
-                           store=store)
-        second = map_cached(ParallelExecutor(jobs=1), [unit], [key],
-                            store=store)
+        first = ParallelExecutor(jobs=1).map_keyed([unit], [key], store=store)
+        second = ParallelExecutor(jobs=1).map_keyed([unit], [key],
+                                                    store=store)
         assert second[0] is first[0]
 
 
@@ -449,7 +446,7 @@ class TestMapSupervised:
         assert instrument.value("sim.events_fired") == 6
         assert instrument.value("custom.widget.count") == 12
 
-    def test_unpicklable_units_run_in_process(self):
+    def test_unpicklable_units_run_in_forked_workers(self):
         from repro.core.executor import UnitFailure
 
         seen = []
@@ -463,7 +460,7 @@ class TestMapSupervised:
         executor = ParallelExecutor(jobs=2)
         outcomes = executor.map_supervised(units)
         assert outcomes == [1, 2, 3]
-        assert seen == [0, 1, 2]
+        assert seen == []  # each closure ran in its own forked worker
         assert not any(isinstance(o, UnitFailure) for o in outcomes)
 
     def test_unpicklable_raising_unit_is_typed_too(self):
@@ -479,9 +476,8 @@ class TestMapSupervised:
         assert failure.error_type == "RuntimeError"
 
 
-
 def _spin(seconds):
-    """A pure-Python busy loop: SIGALRM can interrupt it between bytecodes."""
+    """A pure-Python busy loop, which only a SIGKILL stops."""
     import time as _time
 
     deadline = _time.perf_counter() + seconds
@@ -489,17 +485,16 @@ def _spin(seconds):
         pass
 
 
-class TestSupervisedInProcessFallback:
-    """``_map_supervised_inprocess``: batches holding a lambda cannot be
-    pickled, so ``map_supervised`` runs them in this process under the
-    same typed-failure contract."""
+class TestSupervisedLambdaUnits:
+    """Batches holding a lambda cannot be pickled; ``map_supervised``
+    forks its workers, so they run under the same typed-failure
+    contract as any other batch."""
 
     def test_results_in_submission_order(self):
         units = [WorkUnit(name=f"l{i}", fn=lambda v: v * 10, args=(i,))
                  for i in range(5)]
         executor = ParallelExecutor(jobs=2)
         assert executor.map_supervised(units) == [0, 10, 20, 30, 40]
-        assert executor.fallbacks == 1
 
     def test_raising_unit_is_a_record_and_batchmates_finish(self):
         from repro.core.executor import UnitFailure
@@ -516,11 +511,8 @@ class TestSupervisedInProcessFallback:
         assert failure.kind == UnitFailure.ERROR
         assert failure.error_type == "ValueError"
         assert failure.message == "bad input"
-        assert executor.fallbacks == 1
 
-    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
-                        reason="needs SIGALRM interval timers")
-    def test_busy_loop_times_out_through_sigalrm(self):
+    def test_busy_loop_times_out(self):
         from repro.core.executor import UnitFailure
 
         units = [
@@ -533,10 +525,9 @@ class TestSupervisedInProcessFallback:
         assert failure.kind == UnitFailure.TIMEOUT
         assert failure.unit == "spin"
         assert 0.2 <= failure.elapsed_s < 30.0
-        assert ok == 7  # the alarm was disarmed for the next unit
-        assert executor.fallbacks == 1
+        assert ok == 7  # the batchmate is unaffected (surgical kill)
         assert instrument.value(instrument.RUNFARM_TIMEOUTS) == 1
-        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
 
 class TestUnitContentKey:
     def test_stable_and_distinct(self):

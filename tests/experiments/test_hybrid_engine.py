@@ -7,7 +7,9 @@ Two guarantees the report pipeline leans on:
   model must degrade the whole ladder back to batched simulation;
 * engine selection never changes a headline number: the operating-point
   knee and the metrics measured there are identical with the hybrid
-  engine on or off at tier-1 fidelity.
+  engine on or off at tier-1 fidelity;
+* a cached trust record saves simulated probes on a later measurement of
+  the same model, and one the window simulations contradict is dropped.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import dataclasses
 import pytest
 
 from repro.core import hybrid, instrument
+from repro.core.cache import ResultCache, configure, get_cache
 from repro.core.rng import RandomStreams
 from repro.experiments import measurement
 from repro.experiments.measurement import (
@@ -59,12 +62,11 @@ class TestValidatedLadder:
         rates = _ladder_rates(profile)
         results = run_validated_ladder(
             profile, "host", rates, RandomStreams(3), N_REQUESTS)
-        cfg = hybrid.config()
         anchor = min(estimate_capacity_rps(profile, "host"),
                      measurement._nic_cap_rps(profile))
         for rate, metrics in zip(rates, results):
             factor = rate / anchor
-            if cfg.sim_window_lo <= factor <= cfg.sim_window_hi:
+            if hybrid.SIM_WINDOW_LO <= factor <= hybrid.SIM_WINDOW_HI:
                 assert not metrics.extra.get("probe.analytic"), (
                     f"knee-window rung at factor {factor:.2f} was not "
                     f"simulated")
@@ -115,11 +117,67 @@ class TestEngineEquivalence:
         profile = get_profile(key, samples=SAMPLES)
         points = {}
         for engine in ("sim", "hybrid"):
-            with hybrid.engine_scope(engine):
-                points[engine] = measure_operating_point(
-                    profile, "host", RandomStreams(9), N_REQUESTS)
+            points[engine] = measure_operating_point(
+                profile, "host", RandomStreams(9), N_REQUESTS, engine=engine)
         assert points["hybrid"].capacity_rps == points["sim"].capacity_rps
         assert (points["hybrid"].metrics.latency_p99
                 == points["sim"].metrics.latency_p99)
         assert (points["hybrid"].metrics.completed_rate
                 == points["sim"].metrics.completed_rate)
+
+
+class TestTrustRecordReuse:
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        previous = get_cache()
+        configure(ResultCache())
+        yield
+        configure(previous)
+
+    @staticmethod
+    def _measure(profile, engine="hybrid"):
+        before = instrument.value(instrument.PROBES_SIMULATED)
+        point = measure_operating_point(
+            profile, "host", RandomStreams(13), N_REQUESTS, engine=engine)
+        return point, instrument.value(instrument.PROBES_SIMULATED) - before
+
+    @staticmethod
+    def _trust_key(profile):
+        anchor = min(estimate_capacity_rps(profile, "host"),
+                     measurement._nic_cap_rps(profile))
+        key = measurement._trust_key(profile, "host", N_REQUESTS,
+                                     RandomStreams(13).root_seed, anchor)
+        return key, anchor
+
+    def test_warm_measurement_reuses_the_record(self, profile):
+        cold, cold_simulated = self._measure(profile)
+        found, record = get_cache().get(self._trust_key(profile)[0],
+                                        count=False)
+        assert found and isinstance(record, hybrid.TrustRecord)
+        warm, warm_simulated = self._measure(profile)
+        assert warm == cold
+        assert warm_simulated < cold_simulated
+
+    def test_contradicted_record_is_invalidated(self, profile, monkeypatch):
+        sim_point, _ = self._measure(profile, engine="sim")
+
+        def utopian_prediction(profile_, platform, rate, n_requests=20_000):
+            # Serves every rate perfectly, so any simulated overloaded
+            # rung contradicts it.
+            real = predict_fixed_rate(profile_, platform, rate, n_requests)
+            return dataclasses.replace(
+                real, completed_rate=rate, completed=n_requests, dropped=0)
+
+        monkeypatch.setattr(
+            measurement, "predict_fixed_rate", utopian_prediction)
+        key, anchor = self._trust_key(profile)
+        # Promises analytic answers everywhere outside the two overloaded
+        # rungs at load factors 1.09 and 1.26; trusting it would put the
+        # knee on the top rung, which the model wrongly accepts.
+        planted = hybrid.TrustRecord(anchor_rps=anchor, low_factor=1.0,
+                                     high_factor=1.3)
+        get_cache().put(key, planted)
+        point, _ = self._measure(profile)
+        assert point.capacity_rps == sim_point.capacity_rps
+        found, record = get_cache().get(key, count=False)
+        assert found and record != planted

@@ -99,12 +99,6 @@ class TestRegistryContents:
         assert registry.get("observations").depends == ("fig4", "fig5",
                                                         "fig6")
 
-    def test_dependency_order_puts_upstreams_first(self):
-        order = registry.dependency_order(["observations", "table5"])
-        assert order.index("fig4") < order.index("fig6")
-        assert order.index("fig6") < order.index("observations")
-        assert order.index("table4") < order.index("table5")
-
     def test_every_spec_has_smoke_and_default_tier(self):
         for spec in registry.all_experiments():
             assert DEFAULT_TIER in spec.tiers and SMOKE_TIER in spec.tiers
@@ -124,7 +118,6 @@ class TestExperimentContext:
         assert ctx.run("t-memo") == "ok"
         assert ctx.run("t-memo") == "ok"
         assert calls == [1]
-        assert ctx.has_result("t-memo")
 
     def test_dependency_results_shared_through_run(self, scratch_registry):
         calls = []

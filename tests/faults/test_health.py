@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rng import RandomStreams
 from repro.faults import FaultSpec, FaultTimeline, SnicHealth
 
 HORIZON_S = 10.0
@@ -28,18 +27,10 @@ class TestSnicHealth:
         assert health.service_factor(5.0) == 1.0
         assert health.outage_windows() == [(1.0, 2.0)]
 
-    def test_deterministic_masks(self):
-        streams = RandomStreams(11)
-        specs = [FaultSpec.stochastic("flaky", "snic", mtbf_s=0.1, mttr_s=0.02)]
-        a = FaultTimeline(specs, 5.0, RandomStreams(11))
-        b = FaultTimeline(specs, 5.0, streams)
-        times = np.linspace(0, 5, 1000)
-        assert (a.active_mask(times, "snic") == b.active_mask(times, "snic")).all()
-
 
 @st.composite
 def fault_specs(draw, index):
-    """One random spec: any mode, kind, severity and target."""
+    """One random one-shot spec: any window, kind, severity and target."""
     name = f"f{index}"
     target = draw(st.sampled_from(("snic", "snic", "other")))
     kind = draw(st.sampled_from(KINDS))
@@ -47,29 +38,17 @@ def fault_specs(draw, index):
         severity = draw(st.floats(min_value=0.5, max_value=4.0))
     else:
         severity = draw(st.floats(min_value=0.0, max_value=1.0))
-    mode = draw(st.sampled_from(("one-shot", "periodic", "stochastic")))
     start = draw(st.floats(min_value=0.0, max_value=HORIZON_S))
-    if mode == "one-shot":
-        duration = draw(st.floats(min_value=0.0, max_value=HORIZON_S))
-        return FaultSpec.one_shot(name, target, start, duration, kind=kind,
-                                  severity=severity)
-    if mode == "periodic":
-        period = draw(st.floats(min_value=0.2, max_value=HORIZON_S))
-        duration = draw(st.floats(min_value=0.0, max_value=period))
-        return FaultSpec.periodic(name, target, start, period, duration,
-                                  kind=kind, severity=severity)
-    mtbf = draw(st.floats(min_value=0.05, max_value=3.0))
-    mttr = draw(st.floats(min_value=0.01, max_value=1.0))
-    return FaultSpec.stochastic(name, target, mtbf, mttr, kind=kind,
-                                severity=severity, start_s=start)
+    duration = draw(st.floats(min_value=0.0, max_value=HORIZON_S))
+    return FaultSpec.one_shot(name, target, start, duration, kind=kind,
+                              severity=severity)
 
 
 @st.composite
 def timelines(draw):
     count = draw(st.integers(min_value=0, max_value=5))
     specs = [draw(fault_specs(index)) for index in range(count)]
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    return FaultTimeline(specs, HORIZON_S, RandomStreams(seed))
+    return FaultTimeline(specs, HORIZON_S)
 
 
 class TestServiceProfileOracle:

@@ -9,7 +9,6 @@ from repro.core.rng import RandomStreams
 from repro.offload import (
     BalancerConfig,
     hardware_balancer,
-    placement_table,
     predict_platform,
     recommend,
     simulate_balancer,
@@ -58,11 +57,6 @@ class TestAdvisor:
         profile = get_profile("fio:read", samples=40)
         offloaded = recommend(profile, prefer_offload=True)
         assert offloaded.platform == "snic-cpu"
-
-    def test_placement_table_renders(self):
-        profiles = [get_profile(k, samples=40) for k in ("redis:a", "rem:file_image")]
-        text = placement_table(profiles)
-        assert "redis:a" in text and "rem:file_image" in text
 
 
 class TestLoadBalancer:

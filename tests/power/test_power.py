@@ -11,7 +11,6 @@ from repro.power import (
     ServerPowerModel,
     SnicPowerModel,
     efficiency_ratio,
-    energy_per_request,
 )
 
 
@@ -85,11 +84,3 @@ class TestEnergy:
         host = EnergyReport("h", 10.0, 360.0)
         snic = EnergyReport("s", 35.0, 255.0)
         assert efficiency_ratio(snic, host) == pytest.approx((35 / 255) / (10 / 360))
-
-    def test_energy_per_request(self):
-        report = EnergyReport("x", throughput=1000.0, total_power_w=250.0)
-        assert energy_per_request(report) == pytest.approx(0.25)
-
-    def test_zero_throughput(self):
-        report = EnergyReport("x", throughput=0.0, total_power_w=250.0)
-        assert energy_per_request(report) == float("inf")

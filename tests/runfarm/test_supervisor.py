@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import instrument
 from repro.core.cache import ResultCache, cache_key, configure
-from repro.core.executor import UnitFailure, WorkUnit, map_cached
+from repro.core.executor import UnitFailure, WorkUnit
 from repro.faults.retry import RetryPolicy
 from repro.runfarm import manifest as mf
 from repro.runfarm.manifest import RunManifest
@@ -221,12 +221,12 @@ class TestSupervisedExecutor:
         return SupervisedExecutor(jobs, manifest=manifest, config=config,
                                   **kwargs)
 
-    def test_map_cached_seam_routes_through_supervisor(self, tmp_path):
+    def test_map_keyed_seam_routes_through_supervisor(self, tmp_path):
         executor = self._executor(tmp_path)
         units = [WorkUnit(name=f"u{i}", fn=_square, args=(i,))
                  for i in range(3)]
         keys = [cache_key("se-keyed", i) for i in range(3)]
-        assert map_cached(executor, units, keys) == [0, 1, 4]
+        assert executor.map_keyed(units, keys) == [0, 1, 4]
         state = RunManifest.load(executor.supervisor.manifest.path)
         assert state.done_keys() == frozenset(keys)
 

@@ -51,34 +51,6 @@ class TestPcapMix:
         assert sample.offered_gbps() == pytest.approx(20.0, rel=0.08)
 
 
-class TestTraceDriven:
-    def test_follows_rate_series(self):
-        rng = np.random.default_rng(4)
-        series = [1.0, 4.0, 1.0]
-        sample = pktgen.trace_driven_stream(series, 1.0, 1500, rng)
-        counts = [
-            ((sample.arrivals >= i) & (sample.arrivals < i + 1)).sum()
-            for i in range(3)
-        ]
-        assert counts[1] > 2.5 * counts[0]
-
-    def test_zero_intervals_skipped(self):
-        rng = np.random.default_rng(5)
-        sample = pktgen.trace_driven_stream([0.0, 1.0], 1.0, 1500, rng)
-        assert (sample.arrivals >= 1.0).all()
-
-    def test_empty_trace(self):
-        rng = np.random.default_rng(6)
-        sample = pktgen.trace_driven_stream([], 1.0, 1500, rng)
-        assert len(sample) == 0
-
-    def test_max_packets_cap(self):
-        rng = np.random.default_rng(7)
-        sample = pktgen.trace_driven_stream([50.0], 1.0, 64, rng,
-                                            max_packets_per_interval=100)
-        assert len(sample) <= 100
-
-
 class TestPayloadStream:
     def test_sizes_respected(self):
         rng = np.random.default_rng(8)

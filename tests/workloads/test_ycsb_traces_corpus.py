@@ -6,7 +6,6 @@ import pytest
 from repro.workloads import (
     WORKLOADS,
     ZipfianGenerator,
-    constant_trace,
     document_corpus,
     hyperscaler_trace,
     load_phase,
@@ -15,7 +14,7 @@ from repro.workloads import (
     run_phase,
     summarize,
 )
-from repro.workloads.ycsb import WorkloadSpec, operation_mix
+from repro.workloads.ycsb import WorkloadSpec
 
 
 class TestYcsb:
@@ -40,7 +39,7 @@ class TestYcsb:
         spec = WorkloadSpec("t", 0.95, 0.05, records=1000, operations=4000)
         rng = np.random.default_rng(1)
         operations = list(run_phase(spec, rng))
-        reads, updates = operation_mix(operations)
+        reads = sum(op.kind == "read" for op in operations) / len(operations)
         assert reads == pytest.approx(0.95, abs=0.02)
 
     def test_zipfian_skew(self):
@@ -80,15 +79,6 @@ class TestTraces:
         a = hyperscaler_trace(duration_s=600.0, seed=5)
         b = hyperscaler_trace(duration_s=600.0, seed=6)
         assert not (a.gbps == b.gbps).all()
-
-    def test_scaled_to_average(self):
-        trace = hyperscaler_trace(duration_s=600.0).scaled_to_average(5.0)
-        assert trace.average_gbps() == pytest.approx(5.0)
-
-    def test_constant_trace(self):
-        trace = constant_trace(2.0, 10.0)
-        assert trace.average_gbps() == 2.0
-        assert trace.peak_gbps() == 2.0
 
     def test_summary_keys(self):
         stats = summarize(hyperscaler_trace(duration_s=300.0))
