@@ -33,6 +33,10 @@ logger = logging.getLogger("repro.cache")
 
 # Bump whenever measurement semantics change (models, stream naming,
 # ladder shape, metrics definitions): old cached results become garbage.
+# Function profiles are cached too (keyed only on builder key and sample
+# count), so a change to a profile builder, a function implementation
+# (``functions/``) or a workload generator (``workloads/``) must bump it
+# as well.
 # 2026.08.1: outcome metrics carry latency-attribution extras (PR 3).
 # 2026.08.2: vectorized queueing kernels (closed-form Lindley, block
 #   drop fixed point, searchsorted batching) change float rounding.

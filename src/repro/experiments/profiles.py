@@ -8,7 +8,9 @@ file chunks, the KV stores execute real YCSB operations — and recording a
 layer then prices those samples on each platform and queues them.
 
 Profiles are cached per (key, samples) because building one may involve
-thousands of real function executions.
+thousands of real function executions: in process by ``lru_cache``, and
+in the shared :class:`~repro.core.cache.ResultCache`, so a ``--cache-dir``
+run reads every profile an earlier run built instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.cache import cache_key, get_cache
 from ..core.work import WorkUnits
 from ..functions import bm25 as bm25_mod
 from ..functions import mica as mica_mod
@@ -77,7 +80,6 @@ class FunctionProfile:
 
 
 def _rng(key: str) -> np.random.Generator:
-    seeds = {"profile": 0xACE5}
     mixed = 0xACE5
     for ch in key:
         mixed = (mixed * 131 + ord(ch)) & 0x7FFFFFFF
@@ -558,4 +560,14 @@ def _build_profile(key: str, samples: int) -> FunctionProfile:
         raise KeyError(
             f"unknown benchmark key {key!r}; known: {sorted(_BUILDERS)}"
         ) from None
-    return builder(samples)
+    # Uncounted, like the trust records: the footer's hit/miss counters
+    # report artifact traffic only.
+    store, entry = get_cache(), cache_key("profile", key, samples)
+    found, profile = store.get(entry, count=False)
+    if found:
+        return profile
+    profile = builder(samples)
+    # Stored before anything prices it, so the entry never carries the
+    # measurement layer's per-process service-time memo.
+    store.put(entry, profile)
+    return profile

@@ -1,7 +1,13 @@
 """Tests for the function-profile catalog."""
 
+from functools import lru_cache
+
 import pytest
 
+from repro.core import instrument
+from repro.core.cache import ResultCache, configure, get_cache
+from repro.experiments import profiles
+from repro.experiments.measurement import CPU_PLATFORMS, cpu_service_seconds
 from repro.experiments.profiles import ALL_PROFILE_KEYS, get_profile
 
 
@@ -119,3 +125,71 @@ class TestProfileContent:
         profile = get_profile("crypto:rsa", samples=10)
         assert profile.accel_op_based
         assert profile.mean_work().get("rsa_limb_mul") > 1e5
+
+
+class TestProfileCache:
+    """Profiles are content-addressed in the result cache, so a second
+    process over the same ``--cache-dir`` reads them instead of
+    re-running the function implementations."""
+
+    KEY = "crypto:sha1"
+    SAMPLES = 30
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, monkeypatch):
+        # A private in-process layer and global cache for each test; both
+        # are put back afterwards, so profiles other tests built survive.
+        monkeypatch.setattr(profiles, "_build_profile", self._fresh_lru())
+        previous = get_cache()
+        yield
+        configure(previous)
+
+    @staticmethod
+    def _fresh_lru():
+        return lru_cache(maxsize=None)(profiles._build_profile.__wrapped__)
+
+    def _new_process(self, monkeypatch, cache_dir):
+        """What a later invocation sees: an empty ``lru_cache`` and a
+        fresh cache over the same directory."""
+        monkeypatch.setattr(profiles, "_build_profile", self._fresh_lru())
+        configure(ResultCache(cache_dir=str(cache_dir)))
+
+    @staticmethod
+    def _forbid_building(monkeypatch, key):
+        def builder(samples):
+            raise AssertionError(f"{key} was rebuilt instead of read")
+        monkeypatch.setitem(profiles._BUILDERS, key, builder)
+
+    def test_round_trip_through_disk(self, monkeypatch, tmp_path):
+        configure(ResultCache(cache_dir=str(tmp_path)))
+        original = get_profile(self.KEY, self.SAMPLES)
+        self._forbid_building(monkeypatch, self.KEY)
+
+        self._new_process(monkeypatch, tmp_path)
+        before = get_profile(self.KEY, self.SAMPLES)
+        assert before is not original
+        assert before == original
+        prices = {p: cpu_service_seconds(before, p).tobytes()
+                  for p in original.platforms if p in CPU_PLATFORMS}
+        assert set(prices) == set(CPU_PLATFORMS)
+        for platform, priced in prices.items():
+            assert cpu_service_seconds(original, platform).tobytes() == priced
+
+        # Pricing the original must not leak its memo into the entry.
+        self._new_process(monkeypatch, tmp_path)
+        after = get_profile(self.KEY, self.SAMPLES)
+        assert after == original
+        assert not hasattr(after, "_service_seconds_cache")
+        for platform, priced in prices.items():
+            assert cpu_service_seconds(after, platform).tobytes() == priced
+
+    def test_lookups_leave_footer_counters_alone(self, monkeypatch, tmp_path):
+        configure(ResultCache(cache_dir=str(tmp_path)))
+        hits = instrument.value(instrument.CACHE_HITS)
+        misses = instrument.value(instrument.CACHE_MISSES)
+        get_profile(self.KEY, self.SAMPLES)  # miss, then put
+        self._new_process(monkeypatch, tmp_path)
+        get_profile(self.KEY, self.SAMPLES)  # disk hit
+        assert instrument.value(instrument.CACHE_HITS) == hits
+        assert instrument.value(instrument.CACHE_MISSES) == misses
+        assert get_cache().stats.lookups == 0
