@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +34,14 @@ from ..functions.crypto import rsa as rsa_mod
 from ..functions.crypto import sha1 as sha1_mod
 from ..functions.kvstore import KeyValueStore, encode_command
 from ..functions.regex.rulesets import compile_ruleset, load_ruleset
-from ..functions.storage import FioEngine, FioJobSpec, IoKind, NvmeOfTarget, RamDisk
+from ..functions.storage import (
+    FioEngine,
+    FioJobSpec,
+    IoKind,
+    NvmeOfTarget,
+    RamDisk,
+    StorageError,
+)
 from ..workloads import corpus as corpus_mod
 from ..workloads import pktgen, ycsb
 
@@ -147,11 +155,11 @@ def _profile_redis(workload: str, samples: int) -> FunctionProfile:
     spec = ycsb.WORKLOADS[workload]
     rng = _rng(f"redis:{workload}")
     store = KeyValueStore()
-    for operation in ycsb.load_phase(spec, rng):
-        store.set(operation.key, operation.value)
+    store.load((operation.key, operation.value)
+               for operation in ycsb.load_phase(spec, rng))
     work_samples: List[WorkUnits] = []
     wire_total = 0.0
-    operations = list(ycsb.run_phase(spec, rng))[:samples]
+    operations = list(islice(ycsb.run_phase(spec, rng), samples))
     for operation in operations:
         if operation.kind == "read":
             command = encode_command(b"GET", operation.key)
@@ -265,8 +273,7 @@ def _profile_mica(batch_label: str, samples: int) -> FunctionProfile:
     store = mica_mod.MicaStore(partitions=8)
     keys = [b"mica-%07d" % i for i in range(20_000)]
     value = bytes(rng.integers(0, 256, size=256, dtype=np.uint8))
-    for key in keys:
-        store.put(key, value)
+    store.load((key, value) for key in keys)
     zipf = ycsb.ZipfianGenerator(len(keys), rng)
     # A 32 x 256 B batch scatters reads across the partition logs far
     # beyond the A72's small caches while still fitting the host LLC —
@@ -308,7 +315,13 @@ def _profile_fio(op_label: str, samples: int) -> FunctionProfile:
     per_op = max(1, samples // 50)
     work_samples = []
     for _ in range(50):
-        _, work = engine.run(FioJobSpec(kind=kind, operations=per_op))
+        errors, work = engine.run(FioJobSpec(kind=kind, operations=per_op))
+        if errors:
+            # A failed command still counts io_request work; pricing it
+            # would quietly profile a broken device path.
+            raise StorageError(
+                f"fio:{op_label} profiling job: {errors} of {per_op} commands failed"
+            )
         work_samples.append(work.scaled(1.0 / per_op))
     # The data path runs in the NVMe-oF offload engine, not software: the
     # CPU only builds/submits commands, so byte-proportional work is

@@ -13,6 +13,7 @@ emitted symbol.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -50,27 +51,29 @@ class CompressionResult:
         return self.original_size / self.compressed_size
 
 
+def _extra_bits(bases: List[int], end: int) -> List[int]:
+    """Extra bits per bucket: enough to span up to the next bucket's base."""
+    return [max(0, (upper - base - 1).bit_length())
+            for base, upper in zip(bases, bases[1:] + [end])]
+
+
+_LENGTH_EXTRA_BITS = _extra_bits(LENGTH_BASE, 259)
+_DIST_EXTRA_BITS = _extra_bits(DIST_BASE, 32769)
+
+
 def _length_bucket(length: int) -> Tuple[int, int, int]:
     """(symbol, extra_bits, extra_value) for a match length."""
-    for index in range(len(LENGTH_BASE) - 1, -1, -1):
-        base = LENGTH_BASE[index]
-        if length >= base:
-            next_base = LENGTH_BASE[index + 1] if index + 1 < len(LENGTH_BASE) else 259
-            span = next_base - base
-            extra_bits = max(0, (span - 1).bit_length())
-            return 257 + index, extra_bits, length - base
-    raise ValueError(f"length {length} below minimum match")
+    index = bisect_right(LENGTH_BASE, length) - 1
+    if index < 0:
+        raise ValueError(f"length {length} below minimum match")
+    return 257 + index, _LENGTH_EXTRA_BITS[index], length - LENGTH_BASE[index]
 
 
 def _distance_bucket(distance: int) -> Tuple[int, int, int]:
-    for index in range(len(DIST_BASE) - 1, -1, -1):
-        base = DIST_BASE[index]
-        if distance >= base:
-            next_base = DIST_BASE[index + 1] if index + 1 < len(DIST_BASE) else 32769
-            span = next_base - base
-            extra_bits = max(0, (span - 1).bit_length())
-            return index, extra_bits, distance - base
-    raise ValueError(f"distance {distance} below 1")
+    index = bisect_right(DIST_BASE, distance) - 1
+    if index < 0:
+        raise ValueError(f"distance {distance} below 1")
+    return index, _DIST_EXTRA_BITS[index], distance - DIST_BASE[index]
 
 
 def compress(data: bytes, level: int = 9) -> CompressionResult:
@@ -102,19 +105,17 @@ def compress(data: bytes, level: int = 9) -> CompressionResult:
     writer = huffman.BitWriter()
     dist_iter = iter(dist_symbols)
     emitted = 0
+    # A code and its extra bits are adjacent in the stream: one write each.
     for symbol, extra_bits, extra in litlen_symbols:
         code, length = litlen_codes[symbol]
-        writer.write(code, length)
+        writer.write((code << extra_bits) | extra, length + extra_bits)
         emitted += 1
-        if extra_bits:
-            writer.write(extra, extra_bits)
         if symbol >= 257:
             dist_symbol, dist_extra_bits, dist_extra = next(dist_iter)
             dcode, dlength = dist_codes[dist_symbol]
-            writer.write(dcode, dlength)
+            writer.write((dcode << dist_extra_bits) | dist_extra,
+                         dlength + dist_extra_bits)
             emitted += 1
-            if dist_extra_bits:
-                writer.write(dist_extra, dist_extra_bits)
 
     header = (
         MAGIC
@@ -152,18 +153,16 @@ def decompress(payload: bytes) -> Tuple[bytes, WorkUnits]:
             out.append(symbol)
             continue
         index = symbol - 257
-        base = LENGTH_BASE[index]
-        next_base = LENGTH_BASE[index + 1] if index + 1 < len(LENGTH_BASE) else 259
-        extra_bits = max(0, (next_base - base - 1).bit_length())
-        length = base + (reader.read_bits(extra_bits) if extra_bits else 0)
+        extra_bits = _LENGTH_EXTRA_BITS[index]
+        length = LENGTH_BASE[index] + (reader.read_bits(extra_bits) if extra_bits else 0)
         if dist_decoder is None:
             raise ValueError("match token but no distance table")
         dist_symbol = dist_decoder.decode(reader)
         symbols += 1
-        dbase = DIST_BASE[dist_symbol]
-        dnext = DIST_BASE[dist_symbol + 1] if dist_symbol + 1 < len(DIST_BASE) else 32769
-        dextra_bits = max(0, (dnext - dbase - 1).bit_length())
-        distance = dbase + (reader.read_bits(dextra_bits) if dextra_bits else 0)
+        dextra_bits = _DIST_EXTRA_BITS[dist_symbol]
+        distance = DIST_BASE[dist_symbol] + (
+            reader.read_bits(dextra_bits) if dextra_bits else 0
+        )
         start = len(out) - distance
         if start < 0:
             raise ValueError("distance before stream start")

@@ -78,27 +78,38 @@ def canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
 
 
 class BitWriter:
+    """MSB-first bit packer.
+
+    Bits collect in an integer accumulator and leave it a whole byte at a
+    time; the partial last byte is zero-padded on the right.
+    """
+
     def __init__(self):
         self._bytes = bytearray()
-        self._bit_position = 0
+        self._pending = 0  # accumulated bits not yet flushed to _bytes
+        self._pending_bits = 0
 
     def write(self, code: int, length: int) -> None:
-        for shift in range(length - 1, -1, -1):
-            bit = (code >> shift) & 1
-            if self._bit_position == 0:
-                self._bytes.append(0)
-            if bit:
-                self._bytes[-1] |= 1 << (7 - self._bit_position)
-            self._bit_position = (self._bit_position + 1) % 8
+        """Append the low ``length`` bits of ``code``, most significant first."""
+        pending = (self._pending << length) | (code & ((1 << length) - 1))
+        bits = self._pending_bits + length
+        if bits >= 8:
+            rest = bits & 7
+            self._bytes += (pending >> rest).to_bytes(bits >> 3, "big")
+            pending &= (1 << rest) - 1
+            bits = rest
+        self._pending = pending
+        self._pending_bits = bits
 
     def getvalue(self) -> bytes:
-        return bytes(self._bytes)
+        if not self._pending_bits:
+            return bytes(self._bytes)
+        last = self._pending << (8 - self._pending_bits)
+        return bytes(self._bytes) + bytes((last,))
 
     @property
     def bit_length(self) -> int:
-        if not self._bytes:
-            return 0
-        return (len(self._bytes) - 1) * 8 + (self._bit_position or 8)
+        return len(self._bytes) * 8 + self._pending_bits
 
 
 class BitReader:

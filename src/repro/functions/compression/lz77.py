@@ -10,7 +10,7 @@ and chain probes performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ...core.work import WorkUnits
 
@@ -51,8 +51,8 @@ class Lz77Result:
         )
 
 
-def _hash3(data: bytes, pos: int) -> int:
-    return (data[pos] << 10) ^ (data[pos + 1] << 5) ^ data[pos + 2]
+# Tokens are immutable, so every literal of a byte value is one shared token.
+_LITERALS = [Literal(byte) for byte in range(256)]
 
 
 def compress(data: bytes, level: int = 9) -> Lz77Result:
@@ -61,8 +61,11 @@ def compress(data: bytes, level: int = 9) -> Lz77Result:
         raise ValueError(f"level must be one of {sorted(LEVEL_MAX_CHAIN)}")
     max_chain = LEVEL_MAX_CHAIN[level]
     tokens: List[Token] = []
+    # The 3-byte hash of every position with MIN_MATCH bytes ahead; each is
+    # needed exactly once, as a match start or as a skipped position.
+    hashes = [(a << 10) ^ (b << 5) ^ c for a, b, c in zip(data, data[1:], data[2:])]
     head: dict = {}
-    prev: dict = {}
+    prev: List[Optional[int]] = [None] * len(hashes)
     probes = 0
     pos = 0
     n = len(data)
@@ -70,22 +73,28 @@ def compress(data: bytes, level: int = 9) -> Lz77Result:
         best_length = 0
         best_distance = 0
         if pos + MIN_MATCH <= n:
-            key = _hash3(data, pos)
+            key = hashes[pos]
             candidate = head.get(key)
             chain = 0
+            limit = min(MAX_MATCH, n - pos)
             while candidate is not None and chain < max_chain:
                 distance = pos - candidate
                 if distance > WINDOW_SIZE:
                     break
                 probes += 1
                 chain += 1
-                length = _match_length(data, candidate, pos, n)
-                if length > best_length:
-                    best_length = length
-                    best_distance = distance
-                    if length >= MAX_MATCH:
-                        break
-                candidate = prev.get(candidate)
+                # zlib's scan_end check: a candidate can only beat the best
+                # match if it also agrees at offset best_length, so most
+                # probes are settled by one byte compare.
+                if (best_length < limit
+                        and data[candidate + best_length] == data[pos + best_length]):
+                    length = _match_length(data, candidate, pos, limit)
+                    if length > best_length:
+                        best_length = length
+                        best_distance = distance
+                        if length >= MAX_MATCH:
+                            break
+                candidate = prev[candidate]
             # insert current position into the chain
             prev[pos] = head.get(key)
             head[key] = pos
@@ -95,18 +104,17 @@ def compress(data: bytes, level: int = 9) -> Lz77Result:
             end = pos + best_length
             insert_end = min(end, n - MIN_MATCH + 1)
             for p in range(pos + 1, insert_end):
-                key = _hash3(data, p)
+                key = hashes[p]
                 prev[p] = head.get(key)
                 head[key] = p
             pos = end
         else:
-            tokens.append(Literal(data[pos]))
+            tokens.append(_LITERALS[data[pos]])
             pos += 1
     return Lz77Result(tokens=tokens, input_bytes=n, chain_probes=probes)
 
 
-def _match_length(data: bytes, candidate: int, pos: int, n: int) -> int:
-    limit = min(MAX_MATCH, n - pos)
+def _match_length(data: bytes, candidate: int, pos: int, limit: int) -> int:
     length = 0
     while length < limit and data[candidate + length] == data[pos + length]:
         length += 1

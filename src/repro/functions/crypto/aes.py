@@ -53,6 +53,9 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
+_XTIME = [_xtime(a) for a in range(256)]  # multiplication by 2 in GF(2^8)
+
+
 def _mul(a: int, b: int) -> int:
     result = 0
     while b:
@@ -79,44 +82,40 @@ def expand_key(key: bytes) -> List[List[int]]:
 
 
 def _add_round_key(state: List[int], round_key: List[int]) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
+    state[:] = [a ^ b for a, b in zip(state, round_key)]
 
 
 def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _SBOX[state[i]]
+    state[:] = [_SBOX[a] for a in state]
 
 
 def _inv_sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = _INV_SBOX[state[i]]
+    state[:] = [_INV_SBOX[a] for a in state]
 
 
-# State is column-major: state[4*c + r] is row r, column c.
+# State is column-major: state[4*c + r] is row r, column c.  ShiftRows
+# rotates row r left by r, so out[4*c + r] = in[4*((c + r) % 4) + r].
+_SHIFT_ROWS = [4 * ((i // 4 + i % 4) % 4) + i % 4 for i in range(16)]
+_INV_SHIFT_ROWS = [4 * ((i // 4 - i % 4) % 4) + i % 4 for i in range(16)]
+
+
 def _shift_rows(state: List[int]) -> None:
-    for r in range(1, 4):
-        row = [state[4 * c + r] for c in range(4)]
-        row = row[r:] + row[:r]
-        for c in range(4):
-            state[4 * c + r] = row[c]
+    state[:] = [state[i] for i in _SHIFT_ROWS]
 
 
 def _inv_shift_rows(state: List[int]) -> None:
-    for r in range(1, 4):
-        row = [state[4 * c + r] for c in range(4)]
-        row = row[-r:] + row[:-r]
-        for c in range(4):
-            state[4 * c + r] = row[c]
+    state[:] = [state[i] for i in _INV_SHIFT_ROWS]
 
 
 def _mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = _mul(col[0], 2) ^ _mul(col[1], 3) ^ col[2] ^ col[3]
-        state[4 * c + 1] = col[0] ^ _mul(col[1], 2) ^ _mul(col[2], 3) ^ col[3]
-        state[4 * c + 2] = col[0] ^ col[1] ^ _mul(col[2], 2) ^ _mul(col[3], 3)
-        state[4 * c + 3] = _mul(col[0], 3) ^ col[1] ^ col[2] ^ _mul(col[3], 2)
+    # 2*a is _XTIME[a] and 3*a is _XTIME[a] ^ a.
+    xtime = _XTIME
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = state[c : c + 4]
+        state[c + 0] = xtime[a0] ^ xtime[a1] ^ a1 ^ a2 ^ a3
+        state[c + 1] = a0 ^ xtime[a1] ^ xtime[a2] ^ a2 ^ a3
+        state[c + 2] = a0 ^ a1 ^ xtime[a2] ^ xtime[a3] ^ a3
+        state[c + 3] = xtime[a0] ^ a0 ^ a1 ^ a2 ^ xtime[a3]
 
 
 def _inv_mix_columns(state: List[int]) -> None:

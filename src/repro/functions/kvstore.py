@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.work import WorkUnits
 
@@ -95,26 +95,37 @@ class KeyValueStore:
         return len(key) + len(value) + 64  # object overhead approximation
 
     def _evict_for(self, needed: int) -> None:
-        if self.max_memory_bytes is None:
-            return
         while self._memory_used + needed > self.max_memory_bytes and self._data:
             old_key, old_entry = self._data.popitem(last=False)  # LRU end
             self._memory_used -= self._entry_size(old_key, old_entry.value)
             self.stats.evictions += 1
 
-    def set(self, key: bytes, value: bytes, now: float = 0.0,
-            ttl: Optional[float] = None) -> WorkUnits:
+    def _store(self, key: bytes, value: bytes, expires: Optional[float]) -> None:
         self.stats.sets += 1
-        expires = now + ttl if ttl is not None else None
         previous = self._data.pop(key, None)
         if previous is not None:
             self._memory_used -= self._entry_size(key, previous.value)
-        self._evict_for(self._entry_size(key, value))
+        size = self._entry_size(key, value)
+        if self.max_memory_bytes is not None:
+            self._evict_for(size)
         self._data[key] = _Entry(value, expires)
-        self._memory_used += self._entry_size(key, value)
+        self._memory_used += size
+
+    def set(self, key: bytes, value: bytes, now: float = 0.0,
+            ttl: Optional[float] = None) -> WorkUnits:
+        self._store(key, value, now + ttl if ttl is not None else None)
         return WorkUnits(
             {"kv_op": 1.0, "hash_probe": 1.0, "kv_value_byte": float(len(value))}
         )
+
+    def load(self, records: Iterable[Tuple[bytes, bytes]]) -> None:
+        """Insert ``(key, value)`` records, as a YCSB load phase does.
+
+        The store ends up as after :meth:`set` on each record, without
+        the per-operation work tallies nobody reads.
+        """
+        for key, value in records:
+            self._store(key, value, None)
 
     def get(self, key: bytes, now: float = 0.0) -> Tuple[Optional[bytes], WorkUnits]:
         self.stats.gets += 1

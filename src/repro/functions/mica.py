@@ -7,7 +7,9 @@ The defining features reproduced here:
 * **lossy bucket index** — fixed-size buckets of (tag, offset) slots with
   eviction on overflow, exactly MICA's lossy mode;
 * **circular append log** — values live in a per-partition ring; old
-  entries are overwritten and their index slots invalidated lazily;
+  entries are overwritten and their index slots invalidated lazily.  The
+  ring is a lazily zeroed anonymous mapping, so only the bytes appended
+  so far are resident;
 * **request batching** — clients submit GETs in batches (the paper runs
   batch sizes 4 and 32), which amortizes the per-message RDMA cost.
 
@@ -18,19 +20,21 @@ by the experiment layer (one RDMA message per batch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import mmap
+import struct
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.work import WorkUnits
 
 BUCKET_SLOTS = 8
+# Log record: key length, value length, then the key and value bytes.
+_RECORD_HEADER = struct.Struct("<HI")
 
 
 def _hash64(key: bytes) -> int:
     value = 0xCBF29CE484222325
     for byte in key:
-        value ^= byte
-        value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     # murmur-style finalizer: FNV alone leaves the high bits poorly mixed
     # for short, similar keys, which would collapse tags into collisions.
     value ^= value >> 33
@@ -41,40 +45,35 @@ def _hash64(key: bytes) -> int:
     return value
 
 
-@dataclass
-class _Slot:
-    tag: int
-    offset: int
-
-
 class _Partition:
     def __init__(self, buckets: int, log_bytes: int):
-        self.buckets: List[List[_Slot]] = [[] for _ in range(buckets)]
-        self.log = bytearray(log_bytes)
+        # Each bucket maps tag -> log offset; tags are unique within a
+        # bucket, and insertion order is age order for lossy eviction.
+        self.buckets: List[Dict[int, int]] = [{} for _ in range(buckets)]
+        self.log = mmap.mmap(-1, log_bytes)
         self.head = 0
         self.wrapped = False
 
     def _append(self, key: bytes, value: bytes) -> int:
-        record = len(key).to_bytes(2, "little") + len(value).to_bytes(4, "little") + key + value
-        if len(record) > len(self.log):
+        size = _RECORD_HEADER.size + len(key) + len(value)
+        log = self.log
+        if size > len(log):
             raise ValueError("record larger than partition log")
-        if self.head + len(record) > len(self.log):
+        if self.head + size > len(log):
             self.head = 0
             self.wrapped = True
         offset = self.head
-        self.log[offset : offset + len(record)] = record
-        self.head += len(record)
+        log[offset : offset + size] = _RECORD_HEADER.pack(len(key), len(value)) + key + value
+        self.head = offset + size
         return offset
 
     def _read(self, offset: int, key: bytes) -> Optional[bytes]:
-        key_length = int.from_bytes(self.log[offset : offset + 2], "little")
-        value_length = int.from_bytes(self.log[offset + 2 : offset + 6], "little")
-        start = offset + 6
-        stored_key = bytes(self.log[start : start + key_length])
-        if stored_key != key:
+        key_length, value_length = _RECORD_HEADER.unpack_from(self.log, offset)
+        start = offset + _RECORD_HEADER.size
+        if self.log[start : start + key_length] != key:
             return None  # overwritten by log wrap or tag collision
         start += key_length
-        return bytes(self.log[start : start + value_length])
+        return self.log[start : start + value_length]
 
 
 class MicaStore:
@@ -84,32 +83,37 @@ class MicaStore:
                  log_bytes_per_partition: int = 1 << 22):
         if partitions < 1:
             raise ValueError("need at least one partition")
+        if log_bytes_per_partition < 1:
+            raise ValueError("need a non-empty partition log")
         self.partitions = [
             _Partition(buckets_per_partition, log_bytes_per_partition)
             for _ in range(partitions)
         ]
         self.evictions = 0
 
-    def _locate(self, key: bytes) -> Tuple[_Partition, int, int]:
+    def _locate(self, key: bytes) -> Tuple[_Partition, Dict[int, int], int]:
         h = _hash64(key)
         partition = self.partitions[h % len(self.partitions)]
-        bucket_index = (h >> 16) % len(partition.buckets)
-        tag = (h >> 48) & 0xFFFF
-        return partition, bucket_index, tag
+        bucket = partition.buckets[(h >> 16) % len(partition.buckets)]
+        return partition, bucket, (h >> 48) & 0xFFFF
+
+    def _insert(self, key: bytes, value: bytes) -> None:
+        partition, bucket, tag = self._locate(key)
+        offset = partition._append(key, value)
+        if tag not in bucket and len(bucket) >= BUCKET_SLOTS:
+            del bucket[next(iter(bucket))]  # lossy eviction of the oldest slot
+            self.evictions += 1
+        bucket[tag] = offset  # an existing slot keeps its age
+
+    def load(self, records: Iterable[Tuple[bytes, bytes]]) -> None:
+        """Insert ``(key, value)`` records, as a prefill does: the store
+        ends up as after :meth:`put` on each, without the per-operation
+        work tallies nobody reads."""
+        for key, value in records:
+            self._insert(key, value)
 
     def put(self, key: bytes, value: bytes) -> WorkUnits:
-        partition, bucket_index, tag = self._locate(key)
-        offset = partition._append(key, value)
-        bucket = partition.buckets[bucket_index]
-        for slot in bucket:
-            if slot.tag == tag:
-                slot.offset = offset
-                break
-        else:
-            if len(bucket) >= BUCKET_SLOTS:
-                bucket.pop(0)  # lossy eviction of the oldest slot
-                self.evictions += 1
-            bucket.append(_Slot(tag, offset))
+        self._insert(key, value)
         return WorkUnits(
             {
                 "hash_probe": 1.0,
@@ -119,15 +123,15 @@ class MicaStore:
         )
 
     def get(self, key: bytes) -> Tuple[Optional[bytes], WorkUnits]:
-        partition, bucket_index, tag = self._locate(key)
+        partition, bucket, tag = self._locate(key)
         work = WorkUnits({"hash_probe": 1.0})
-        for slot in partition.buckets[bucket_index]:
-            if slot.tag == tag:
-                work.add("mem_random_access", 1.0)
-                value = partition._read(slot.offset, key)
-                if value is not None:
-                    work.add("kv_value_byte", float(len(value)))
-                    return value, work
+        offset = bucket.get(tag)
+        if offset is not None:
+            work.add("mem_random_access", 1.0)
+            value = partition._read(offset, key)
+            if value is not None:
+                work.add("kv_value_byte", float(len(value)))
+                return value, work
         return None, work
 
     def get_batch(self, keys: List[bytes]) -> Tuple[List[Optional[bytes]], WorkUnits]:

@@ -149,6 +149,33 @@ class Dfa:
         return len(self.accepts)
 
 
+def _byte_classes(nfa: Nfa) -> Tuple[List[int], Dict[FrozenSet[int], List[int]]]:
+    """Partition the byte alphabet into classes no transition tells apart.
+
+    Returns each byte's class id and, per transition label, the ids of
+    the classes it contains.  Class ids follow each class's smallest
+    byte, so visiting classes in id order visits them in byte order.
+    """
+    labels: Dict[FrozenSet[int], int] = {}
+    for st in nfa.states:
+        for allowed, _ in st.transitions:
+            labels.setdefault(allowed, len(labels))
+    signature = [0] * 256
+    for allowed, index in labels.items():
+        bit = 1 << index
+        for byte in allowed:
+            signature[byte] |= bit
+    class_of_signature: Dict[int, int] = {}
+    byte_class = [
+        class_of_signature.setdefault(sig, len(class_of_signature))
+        for sig in signature
+    ]
+    label_classes = {
+        allowed: sorted({byte_class[byte] for byte in allowed}) for allowed in labels
+    }
+    return byte_class, label_classes
+
+
 def determinize(nfa: Nfa, max_states: int = 20000) -> Dfa:
     """Subset construction with a search-mode self-looping start state."""
     # NFA subsets are int bitmasks: identical membership semantics to the
@@ -156,10 +183,14 @@ def determinize(nfa: Nfa, max_states: int = 20000) -> Dfa:
     # identity), but unions are word-parallel and closures memoizable.
     # Epsilon closures decompose over union — closure(S) is the union of
     # the members' single-state closures — so precompute those once.
-    # Per-state byte->targets moves replay the original nested-loop byte
-    # order: the merged dict's first-seen byte order fixes the discovery
-    # order of new DFA states, and that order (hence state numbering,
-    # depth classes, and the final table) must not change.
+    # Moves are computed once per byte class rather than per byte: every
+    # byte in a class has the same targets from every subset.  Classes are
+    # visited in order of their smallest byte, which is the order in which
+    # a byte-by-byte scan first meets each target, so the discovery order
+    # of new DFA states (hence state numbering, depth classes, and the
+    # final table) is the byte-by-byte construction's.
+    byte_class, label_classes = _byte_classes(nfa)
+    class_count = max(byte_class) + 1
     single_mask: List[int] = []
     for s in range(len(nfa.states)):
         mask = 0
@@ -171,22 +202,29 @@ def determinize(nfa: Nfa, max_states: int = 20000) -> Dfa:
         per: Dict[int, int] = {}
         if s == nfa.start:
             # search semantics: start state loops on every byte
-            for byte in range(256):
-                per[byte] = per.get(byte, 0) | (1 << nfa.start)
+            for cls in range(class_count):
+                per[cls] = 1 << nfa.start
         for allowed, target in st.transitions:
             bit = 1 << target
-            for byte in allowed:
-                per[byte] = per.get(byte, 0) | bit
+            for cls in label_classes[allowed]:
+                per[cls] = per.get(cls, 0) | bit
         state_moves.append(per)
 
     start_bit = 1 << nfa.start
+    start_moves = state_moves[nfa.start]
+    # Only states with byte transitions contribute moves; most NFA states
+    # are epsilon-only, so masking them out shortens every merge.
+    moving = 0
+    for s, per in enumerate(state_moves):
+        if per and s != nfa.start:
+            moving |= 1 << s
     start_set = single_mask[nfa.start]
     index_of: Dict[int, int] = {start_set: 0}
     order: List[int] = [start_set]
     transitions: List[int] = []
     accepts: List[Tuple[int, ...]] = []
     depth_class: List[int] = [0]
-    closure_of: Dict[int, int] = {}  # targets mask -> closure mask
+    index_of_targets: Dict[int, int] = {}  # targets mask -> DFA state
 
     work = [start_set]
     while work:
@@ -194,38 +232,42 @@ def determinize(nfa: Nfa, max_states: int = 20000) -> Dfa:
         current_index = index_of[current]
         while len(transitions) < (current_index + 1) * 256:
             transitions.extend([0] * 256)
-        # Merge per-state move maps into per-byte target masks.
-        moves: Dict[int, int] = {}
-        remaining = current
+        # Every subset holds the start state, whose moves cover all classes
+        # in id order and carry its own bit (search mode keeps scanning for
+        # later matches): seed the merged map with them, then add the rest.
+        moves = dict(start_moves)
+        remaining = current & moving
         while remaining:
             low = remaining & -remaining
             remaining ^= low
             state = low.bit_length() - 1
-            for byte, bits in state_moves[state].items():
-                moves[byte] = moves.get(byte, 0) | bits
-        for byte, targets in moves.items():
-            targets |= start_bit  # keep scanning for later matches
-            closure = closure_of.get(targets)
-            if closure is None:
+            for cls, bits in state_moves[state].items():
+                moves[cls] |= bits
+        class_target = [0] * class_count
+        for cls, targets in moves.items():
+            index = index_of_targets.get(targets)
+            if index is None:
                 closure = 0
                 bits = targets
                 while bits:
                     low = bits & -bits
                     bits ^= low
                     closure |= single_mask[low.bit_length() - 1]
-                closure_of[targets] = closure
-            index = index_of.get(closure)
-            if index is None:
-                index = len(order)
-                if index >= max_states:
-                    raise ValueError(
-                        f"DFA exceeds {max_states} states; simplify the rule set"
-                    )
-                index_of[closure] = index
-                order.append(closure)
-                depth_class.append(min(depth_class[current_index] + 1, 255))
-                work.append(closure)
-            transitions[current_index * 256 + byte] = index
+                index = index_of.get(closure)
+                if index is None:
+                    index = len(order)
+                    if index >= max_states:
+                        raise ValueError(
+                            f"DFA exceeds {max_states} states; simplify the rule set"
+                        )
+                    index_of[closure] = index
+                    order.append(closure)
+                    depth_class.append(min(depth_class[current_index] + 1, 255))
+                    work.append(closure)
+                index_of_targets[targets] = index
+            class_target[cls] = index
+        row = current_index * 256
+        transitions[row : row + 256] = [class_target[cls] for cls in byte_class]
 
     for subset in order:
         ids = []

@@ -62,6 +62,13 @@ class MultiPatternMatcher:
             raise ValueError("need at least one pattern")
         self.patterns = list(patterns)
         self.dfa: Dfa = _compile_patterns(tuple(self.patterns), max_states)
+        # Translation table marking the bytes that take the DFA out of its
+        # root state (1) or keep it there (0).
+        root_row = self.dfa.start * 256
+        self._root_exits = bytes(
+            int(target != self.dfa.start)
+            for target in self.dfa.transitions[root_row : root_row + 256]
+        )
 
     @property
     def state_count(self) -> int:
@@ -76,11 +83,20 @@ class MultiPatternMatcher:
         transitions = self.dfa.transitions
         accepts = self.dfa.accepts
         depth = self.dfa.depth_class
-        state = self.dfa.start
+        root = state = self.dfa.start
         matches: List[Tuple[int, int]] = []
         deep_visits = 0
-        for offset, byte in enumerate(payload):
-            state = transitions[state * 256 + byte]
+        # The root state has depth 0 and accepts nothing, so the bytes that
+        # keep the DFA there count no work: find() jumps over them.
+        exits = payload.translate(self._root_exits)
+        offset, size = 0, len(payload)
+        while offset < size:
+            if state == root:
+                offset = exits.find(1, offset)
+                if offset < 0:
+                    break
+            state = transitions[state * 256 + payload[offset]]
+            offset += 1
             state_depth = depth[state]
             if state_depth:
                 # Depth-1 excursions are ordinary scanning; only states two
@@ -90,9 +106,8 @@ class MultiPatternMatcher:
                     deep_visits += 1
                 found = accepts[state]
                 if found:
-                    end = offset + 1
                     for pattern_id in found:
-                        matches.append((pattern_id, end))
+                        matches.append((pattern_id, offset))
         return matches, ScanStats(
             bytes_scanned=len(payload),
             deep_visits=deep_visits,

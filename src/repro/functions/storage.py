@@ -4,7 +4,9 @@ The paper's fio benchmark reads/writes a remote RAMDisk through the
 NVMe-over-Fabrics offload engine in ConnectX-6/BlueField-2.  We build the
 stack for real:
 
-* :class:`RamDisk` — a byte-addressable block device backed by memory;
+* :class:`RamDisk` — a byte-addressable block device backed by a lazily
+  zeroed anonymous mapping: pages no command writes never become
+  resident, so a 64 MiB disk costs only the blocks a job touches;
 * :class:`NvmeOfTarget` — command-level NVMe-oF target: admin (identify)
   and I/O (read/write) commands against namespaces;
 * :class:`FioEngine` — generates randread/randwrite command streams at a
@@ -18,6 +20,7 @@ plus ``io_block_byte`` per byte for the residual touch.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -42,11 +45,13 @@ class RamDisk:
     """An in-memory block device (the paper's 16 GB RAMDisk, scaled)."""
 
     def __init__(self, capacity_bytes: int, block_bytes: int = 4096):
-        if capacity_bytes % block_bytes:
-            raise ValueError("capacity must be a multiple of the block size")
+        if capacity_bytes <= 0 or capacity_bytes % block_bytes:
+            raise ValueError("capacity must be a positive multiple of the block size")
         self.block_bytes = block_bytes
         self.block_count = capacity_bytes // block_bytes
-        self._data = bytearray(capacity_bytes)
+        # Anonymous mappings read as zeros until written, like a fresh
+        # bytearray, without writing every page up front.
+        self._data = mmap.mmap(-1, capacity_bytes)
 
     @property
     def capacity_bytes(self) -> int:
@@ -55,7 +60,7 @@ class RamDisk:
     def read(self, lba: int, blocks: int) -> bytes:
         self._check(lba, blocks)
         start = lba * self.block_bytes
-        return bytes(self._data[start : start + blocks * self.block_bytes])
+        return self._data[start : start + blocks * self.block_bytes]
 
     def write(self, lba: int, payload: bytes) -> None:
         if len(payload) % self.block_bytes:

@@ -36,17 +36,29 @@ def _vocabulary(rng: np.random.Generator, size: int = 800) -> List[str]:
     return words
 
 
+def _zipf_cdf(size: int) -> np.ndarray:
+    """The CDF ``Generator.choice(size, p=w)`` builds for 1/rank weights.
+
+    ``cdf.searchsorted(rng.random(k), side="right")`` is exactly that
+    call's draw, without re-validating ``p`` and rebuilding the CDF on
+    every call.
+    """
+    weights = 1.0 / np.arange(1, size + 1, dtype=float)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def text_file(size_bytes: int, rng: np.random.Generator) -> bytes:
     """Text1-like input: zipf-weighted words, sentences, high redundancy."""
     vocabulary = _vocabulary(rng)
-    ranks = np.arange(1, len(vocabulary) + 1, dtype=float)
-    weights = 1.0 / ranks
-    weights /= weights.sum()
+    cdf = _zipf_cdf(len(vocabulary))
     pieces: List[str] = []
     total = 0
     sentence_len = 0
     while total < size_bytes:
-        word = vocabulary[int(rng.choice(len(vocabulary), p=weights))]
+        word = vocabulary[int(cdf.searchsorted(rng.random(), side="right"))]
         sentence_len += 1
         if sentence_len > int(rng.integers(6, 14)):
             word += "."
@@ -95,13 +107,11 @@ def document_corpus(
 ) -> List[str]:
     """BM25 database documents (paper: 100 and 1 K docs, ~10 words each)."""
     vocabulary = _vocabulary(rng, size=400)
-    ranks = np.arange(1, len(vocabulary) + 1, dtype=float)
-    weights = 1.0 / ranks
-    weights /= weights.sum()
+    cdf = _zipf_cdf(len(vocabulary))
     corpus: List[str] = []
     for _ in range(documents):
         n_words = max(3, int(rng.normal(mean_words, 2)))
-        indices = rng.choice(len(vocabulary), size=n_words, p=weights)
+        indices = cdf.searchsorted(rng.random(n_words), side="right")
         corpus.append(" ".join(vocabulary[int(i)] for i in indices))
     return corpus
 
@@ -111,11 +121,9 @@ def query_stream(
 ) -> List[str]:
     """Search queries drawn from the same vocabulary."""
     vocabulary = _vocabulary(rng, size=400)
-    ranks = np.arange(1, len(vocabulary) + 1, dtype=float)
-    weights = 1.0 / ranks
-    weights /= weights.sum()
+    cdf = _zipf_cdf(len(vocabulary))
     queries = []
     for _ in range(count):
-        indices = rng.choice(len(vocabulary), size=terms_per_query, p=weights)
+        indices = cdf.searchsorted(rng.random(terms_per_query), side="right")
         queries.append(" ".join(vocabulary[int(i)] for i in indices))
     return queries

@@ -10,7 +10,7 @@ standard workload letter presets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,10 @@ class ZipfianGenerator:
         return int(self.items * (self.eta * u - self.eta + 1) ** self.alpha)
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
+    """One YCSB operation; a named tuple because the load phase makes
+    tens of thousands of them and a frozen dataclass is slow to build."""
+
     kind: str  # "read" | "update"
     key: bytes
     value: bytes = b""

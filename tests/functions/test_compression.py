@@ -8,6 +8,97 @@ from hypothesis import strategies as st
 from repro.functions.compression import deflate, huffman, lz77
 
 
+def _reference_lz77(data, level):
+    """The hash-chain matcher with every probe compared in full, byte by
+    byte: the oracle for ``lz77.compress``'s tokens and probe count."""
+    max_chain = lz77.LEVEL_MAX_CHAIN[level]
+    n = len(data)
+
+    def hash3(p):
+        return (data[p] << 10) ^ (data[p + 1] << 5) ^ data[p + 2]
+
+    tokens, head, prev, probes, pos = [], {}, {}, 0, 0
+    while pos < n:
+        best_length = best_distance = 0
+        if pos + lz77.MIN_MATCH <= n:
+            key = hash3(pos)
+            candidate, chain = head.get(key), 0
+            while candidate is not None and chain < max_chain:
+                distance = pos - candidate
+                if distance > lz77.WINDOW_SIZE:
+                    break
+                probes += 1
+                chain += 1
+                length = 0
+                limit = min(lz77.MAX_MATCH, n - pos)
+                while length < limit and data[candidate + length] == data[pos + length]:
+                    length += 1
+                if length > best_length:
+                    best_length, best_distance = length, distance
+                    if length >= lz77.MAX_MATCH:
+                        break
+                candidate = prev.get(candidate)
+            prev[pos] = head.get(key)
+            head[key] = pos
+        if best_length >= lz77.MIN_MATCH:
+            tokens.append(lz77.Match(best_length, best_distance))
+            end = pos + best_length
+            for p in range(pos + 1, min(end, n - lz77.MIN_MATCH + 1)):
+                key = hash3(p)
+                prev[p] = head.get(key)
+                head[key] = p
+            pos = end
+        else:
+            tokens.append(lz77.Literal(data[pos]))
+            pos += 1
+    return tokens, probes
+
+
+def _reference_bits(writes):
+    """Bit-at-a-time MSB-first packing: the oracle for ``BitWriter``."""
+    out, position = bytearray(), 0
+    for code, length in writes:
+        for shift in range(length - 1, -1, -1):
+            if position == 0:
+                out.append(0)
+            if (code >> shift) & 1:
+                out[-1] |= 1 << (7 - position)
+            position = (position + 1) % 8
+    bit_length = (len(out) - 1) * 8 + (position or 8) if out else 0
+    return bytes(out), bit_length
+
+
+_LEVELS = st.sampled_from(sorted(lz77.LEVEL_MAX_CHAIN))
+# Repetitive inputs: a short unit repeated with a noisy tail, or a walk
+# over a two-letter alphabet; both keep long hash chains busy.
+_REPETITIVE = st.one_of(
+    st.tuples(
+        st.binary(min_size=1, max_size=12), st.integers(1, 80), st.binary(max_size=40)
+    ).map(lambda parts: parts[0] * parts[1] + parts[2]),
+    st.lists(st.sampled_from(b"ab"), max_size=600).map(bytes),
+)
+
+
+class TestLz77AgainstReference:
+    @given(_REPETITIVE | st.binary(max_size=600), _LEVELS)
+    @settings(max_examples=150, deadline=None)
+    def test_tokens_and_probes_match_reference(self, data, level):
+        result = lz77.compress(data, level=level)
+        assert (result.tokens, result.chain_probes) == _reference_lz77(data, level)
+
+    @pytest.mark.parametrize("level", sorted(lz77.LEVEL_MAX_CHAIN))
+    def test_long_runs_and_window_edge(self, level):
+        # Runs past MAX_MATCH, and candidates beyond the 32 KiB window.
+        rng = np.random.default_rng(level)
+        data = (
+            b"z" * 700
+            + bytes(rng.integers(0, 4, size=lz77.WINDOW_SIZE + 900, dtype=np.uint8))
+            + b"z" * 700
+        )
+        result = lz77.compress(data, level=level)
+        assert (result.tokens, result.chain_probes) == _reference_lz77(data, level)
+
+
 class TestLz77:
     def test_all_literals_for_unique_bytes(self):
         result = lz77.compress(bytes(range(200)), level=9)
@@ -87,6 +178,15 @@ class TestHuffman:
         reader = huffman.BitReader(writer.getvalue())
         assert reader.read_bits(3) == 0b101
         assert reader.read_bits(4) == 0b0110
+
+    @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 20)),
+                    max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwriter_matches_bit_at_a_time_reference(self, writes):
+        writer = huffman.BitWriter()
+        for code, length in writes:
+            writer.write(code, length)
+        assert (writer.getvalue(), writer.bit_length) == _reference_bits(writes)
 
     def test_reader_eof(self):
         reader = huffman.BitReader(b"")

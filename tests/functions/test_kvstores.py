@@ -111,6 +111,24 @@ class TestKeyValueStore:
             got, _ = store.get(key)
             assert got == expected
 
+    @given(
+        st.lists(
+            st.tuples(st.binary(min_size=1, max_size=8), st.binary(max_size=32)),
+            max_size=50,
+        ),
+        st.sampled_from([None, 200]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_load_leaves_the_store_as_set_does(self, records, max_memory):
+        loaded = KeyValueStore(max_memory_bytes=max_memory)
+        loaded.load(records)
+        reference = KeyValueStore(max_memory_bytes=max_memory)
+        for key, value in records:
+            reference.set(key, value)
+        assert list(loaded._data.items()) == list(reference._data.items())
+        assert loaded.memory_used == reference.memory_used
+        assert loaded.stats == reference.stats
+
 
 class TestMica:
     def test_put_get(self):
@@ -159,6 +177,41 @@ class TestMica:
         )
         assert 0 < found < count
 
+    @given(st.lists(st.tuples(st.binary(min_size=1, max_size=6),
+                              st.binary(min_size=1, max_size=24)), max_size=80))
+    @settings(max_examples=40, deadline=None)
+    def test_load_leaves_the_store_as_put_does(self, records):
+        # A tiny index and log, so evictions and log wraps both happen.
+        def store():
+            return MicaStore(partitions=2, buckets_per_partition=2,
+                             log_bytes_per_partition=512)
+
+        loaded, reference = store(), store()
+        loaded.load(records)
+        for key, value in records:
+            reference.put(key, value)
+        assert loaded.evictions == reference.evictions
+        for mine, theirs in zip(loaded.partitions, reference.partitions):
+            assert mine.buckets == theirs.buckets
+            assert (mine.head, mine.wrapped) == (theirs.head, theirs.wrapped)
+            assert mine.log[:] == theirs.log[:]
+
+    def test_lossy_bucket_evicts_oldest_slot(self):
+        """One bucket: the ninth key evicts the first, and overwriting a
+        key updates its slot in place without making it younger."""
+        store = MicaStore(partitions=1, buckets_per_partition=1)
+        keys = [b"key-%d" % i for i in range(BUCKET_SLOTS + 2)]
+        for key in keys[: BUCKET_SLOTS + 1]:
+            store.put(key, key.upper())
+        assert store.evictions == 1
+        assert store.get(keys[0])[0] is None
+        store.put(keys[1], b"fresh")
+        store.put(keys[-1], b"last")
+        assert store.evictions == 2
+        assert store.get(keys[1])[0] is None
+        assert store.get(keys[2])[0] == keys[2].upper()
+        assert store.get(keys[-1])[0] == b"last"
+
     def test_log_wrap_invalidates_old_entries(self):
         store = MicaStore(partitions=1, buckets_per_partition=64,
                           log_bytes_per_partition=1024)
@@ -167,6 +220,26 @@ class TestMica:
             store.put(b"new%d" % i, b"y" * 100)
         value, _ = store.get(b"old")
         assert value is None  # overwritten by the ring
+
+    def test_empty_log_rejected(self):
+        with pytest.raises(ValueError):
+            MicaStore(log_bytes_per_partition=0)
+
+    def test_log_read_after_write_and_unwritten_zeros(self):
+        """The lazily zeroed partition log: appended records read back
+        exactly, and the space past the head reads as zeros."""
+        store = MicaStore(partitions=1)
+        partition = store.partitions[0]
+        offsets = {}
+        for i in range(200):
+            key, value = b"key-%03d" % i, bytes([i]) * (i + 1)
+            offsets[key] = (partition._append(key, value), value)
+        for key, (offset, value) in offsets.items():
+            assert partition._read(offset, key) == value
+        head, size = partition.head, len(partition.log)
+        assert size == 1 << 22
+        assert partition.log[head : head + 4096] == bytes(4096)
+        assert partition.log[size - 4096 :] == bytes(4096)
 
     def test_record_too_large(self):
         store = MicaStore(partitions=1, log_bytes_per_partition=1 << 12)

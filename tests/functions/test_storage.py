@@ -29,6 +29,29 @@ class TestRamDisk:
         disk = RamDisk(1 << 16)
         assert disk.read(0, 1) == b"\x00" * 4096
 
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            RamDisk(0)
+
+    def test_read_after_write_and_unwritten_zeros(self):
+        """The lazily zeroed buffer: written blocks read back exactly,
+        every other block, including its neighbours, reads as zeros."""
+        disk = RamDisk(8 << 20)
+        rng = np.random.default_rng(3)
+        written = {}
+        for lba in (0, 7, 9, 1000, disk.block_count - 2):
+            payload = bytes(rng.integers(0, 256, size=2 * 4096, dtype=np.uint8))
+            disk.write(lba, payload)
+            written[lba] = payload
+        for lba, payload in written.items():
+            assert disk.read(lba, 2) == payload
+        zero_block = bytes(4096)
+        touched = {lba + i for lba in written for i in range(2)}
+        for lba in (2, 6, 11, 999, 1002, disk.block_count // 2):
+            assert lba not in touched
+            assert disk.read(lba, 1) == zero_block
+        assert disk.capacity_bytes == 8 << 20
+
     def test_out_of_range_rejected(self):
         disk = RamDisk(1 << 16)  # 16 blocks
         with pytest.raises(StorageError):
