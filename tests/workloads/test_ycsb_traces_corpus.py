@@ -14,6 +14,7 @@ from repro.workloads import (
     run_phase,
     summarize,
 )
+from repro.workloads import corpus
 from repro.workloads.ycsb import WorkloadSpec
 
 
@@ -90,6 +91,23 @@ class TestTraces:
 
 
 class TestCorpus:
+    @pytest.mark.parametrize("size", [400, 800])
+    def test_zipf_cdf_draws_equal_generator_choice(self, size):
+        """The corpus draws words through a precomputed CDF; each draw
+        must be the one ``Generator.choice(p=...)`` makes."""
+        weights = 1.0 / np.arange(1, size + 1, dtype=float)
+        weights /= weights.sum()
+        cdf = corpus._zipf_cdf(size)
+        fast, reference = np.random.default_rng(size), np.random.default_rng(size)
+        for count in [None, 1, 3, 12] * 50:
+            if count is None:
+                got = int(cdf.searchsorted(fast.random(), side="right"))
+                want = int(reference.choice(size, p=weights))
+            else:
+                got = cdf.searchsorted(fast.random(count), side="right").tolist()
+                want = reference.choice(size, size=count, p=weights).tolist()
+            assert got == want
+
     def test_text_compresses_better_than_app(self):
         from repro.functions.compression import deflate
 
