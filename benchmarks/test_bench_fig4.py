@@ -6,6 +6,7 @@ import time
 
 from conftest import N_REQUESTS, SAMPLES, mean_seconds, record_bench, run_once
 
+from repro.analysis import anchors
 from repro.core import instrument
 from repro.core.cache import ResultCache, configure
 from repro.core.executor import ParallelExecutor, usable_cpu_count
@@ -39,9 +40,9 @@ def test_fig4(benchmark, streams):
     print()
     print(format_fig4(rows))
     print(PAPER_NOTES)
-    ratios = [r.throughput_ratio for r in rows]
-    assert 0.08 <= min(ratios) <= 0.25
-    assert 2.3 <= max(ratios) <= 3.8
+    for band_id in ("throughput_ratio_min", "throughput_ratio_max"):
+        band = anchors.band(band_id)
+        assert band.holds(band.extract(rows)), band_id
 
 
 # A cheap subset for the parallel harness itself: 2 functions x 2

@@ -117,15 +117,20 @@ ARTIFACT_SCHEMA: Dict[str, Any] = {
         "partial": {"type": "boolean"},
         "quarantined": {"type": "array", "items": {"type": "string"}},
         # SLO burn monitoring (repro.obs.slo): purely informational —
-        # present only when targets were evaluated, never required, and
-        # never a verdict input.
+        # present only when ledger bands were evaluated, never required,
+        # and never a verdict input.  One target per band.
         "slo": {
             "type": "object",
             "required": ["evaluated", "breaches", "targets"],
             "properties": {
                 "evaluated": {"type": "integer"},
                 "breaches": {"type": "integer"},
-                "targets": {"type": "array", "items": {"type": "object"}},
+                "targets": {"type": "array", "items": {
+                    "type": "object",
+                    "required": ["id", "measured", "lo", "hi", "ok"],
+                    "properties": {"id": {"type": "string"},
+                                   "ok": {"type": "boolean"}},
+                }},
             },
         },
     },

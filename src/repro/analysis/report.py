@@ -8,8 +8,7 @@ outputs.  ``python -m repro report`` writes it to EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.rng import RandomStreams
 
@@ -17,22 +16,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.executor import ParallelExecutor
     from ..experiments.registry import ExperimentContext
 from ..experiments import format_cluster, format_faults, format_verdicts
+from .anchors import LEDGER
 from .attribution import format_attribution_markdown
 from .attribution import rows_from_fig4 as attribution_rows_from_fig4
 from .tco import format_comparison
-
-
-@dataclass
-class AnchorRow:
-    artifact: str
-    quantity: str
-    paper: str
-    measured: str
-    status: str  # "anchored" (calibrated input) | "emergent" | "deviation"
-
-
-def _fmt(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}"
 
 
 # Smoke-tier runs measure a subset of Fig. 4/5 keys; an anchor row whose
@@ -40,124 +27,17 @@ def _fmt(value: float, digits: int = 2) -> str:
 _NOT_MEASURED = "n/a (not measured at this tier)"
 
 
-def collect_anchor_rows(
-    fig4_rows, fig6_rows, fig5_curves, table4, table5
-) -> List[AnchorRow]:
-    by_key = {r.key: r for r in fig4_rows}
-    eff = {r.key: r for r in fig6_rows}
-
-    def tr(key):
-        return by_key[key].throughput_ratio
-
-    rows: List[AnchorRow] = []
-
-    def row(artifact, quantity, paper, measured, status):
-        # ``measured`` is lazy so a smoke run that skipped the keys a
-        # row indexes degrades that row to "n/a" instead of crashing.
+def collect_anchor_rows(results: Mapping[str, Any]) -> List[Tuple[str, ...]]:
+    """``(artifact, quantity, paper, measured, status)`` of every ledger
+    row against ``results`` (experiment name -> result)."""
+    rows = []
+    for anchor in LEDGER:
         try:
-            value = measured()
+            measured = anchor.measured(results)
         except (KeyError, ValueError, ZeroDivisionError):
-            value = _NOT_MEASURED
-        rows.append(AnchorRow(artifact, quantity, paper, value, status))
-
-    row("Fig4", "throughput ratio range", "0.1x - 3.5x",
-        lambda: f"{_fmt(min(r.throughput_ratio for r in fig4_rows))}x - "
-                f"{_fmt(max(r.throughput_ratio for r in fig4_rows))}x",
-        "emergent")
-    row("Fig4", "p99 ratio range", "0.1x - 13.8x",
-        lambda: f"{_fmt(min(r.p99_ratio for r in fig4_rows))}x - "
-                f"{_fmt(max(r.p99_ratio for r in fig4_rows))}x",
-        "emergent (narrower: our worst p99 case is milder)")
-    row("Fig4/KO1", "UDP micro throughput", "76.5-85.7% lower",
-        lambda: f"{(1-tr('udp:64'))*100:.1f}% / {(1-tr('udp:1024'))*100:.1f}% lower",
-        "anchored (stack cycle costs calibrated)")
-    row("Fig4/KO1", "UDP micro p99", "1.1-1.4x higher",
-        lambda: f"{_fmt(by_key['udp:64'].p99_ratio)}x / "
-                f"{_fmt(by_key['udp:1024'].p99_ratio)}x",
-        "deviation (queueing model amplifies kernel-stack tails)")
-    row("Fig4/KO1", "RDMA micro throughput", "up to 1.4x",
-        lambda: f"{_fmt(tr('rdma:1024'))}x", "anchored")
-    row("Fig4/KO1", "RDMA micro p99", "14.6-24.3% lower",
-        lambda: f"{(1-by_key['rdma:1024'].p99_ratio)*100:.0f}% lower",
-        "emergent (slightly smaller gap; knee-detection noise)")
-    row("Fig4/KO1", "TCP/UDP functions", "20.6-89.5% lower",
-        lambda: f"{(1-max(tr(k) for k in ('redis:a','bm25:1k','nat:10k','snort:file_image')))*100:.0f}%"
-                f" - {(1-min(tr(k) for k in ('redis:a','redis:b','nat:10k','nat:1m')))*100:.0f}% lower",
-        "emergent (narrower band: see notes)")
-    row("Fig4/KO1", "MICA throughput", "19.5-54.5% lower",
-        lambda: f"{(1-tr('mica:4'))*100:.0f}% / {(1-tr('mica:32'))*100:.0f}% lower",
-        "anchored endpoints")
-    row("Fig4/KO1", "fio throughput", "parity",
-        lambda: f"{_fmt(tr('fio:read'))}x / {_fmt(tr('fio:write'))}x", "emergent")
-    row("Fig4/KO2", "AES", "host 1.385x accel",
-        lambda: f"host {_fmt(1/tr('crypto:aes'))}x", "anchored")
-    row("Fig4/KO2", "RSA", "host 1.912x accel",
-        lambda: f"host {_fmt(1/tr('crypto:rsa'))}x", "anchored")
-    row("Fig4/KO2", "SHA-1", "accel 1.89x host",
-        lambda: f"accel {_fmt(tr('crypto:sha1'))}x", "anchored")
-    row("Fig4/KO4", "REM file_image", "accel 1.8x host",
-        lambda: f"accel {_fmt(tr('rem:file_image'))}x",
-        "emergent (rule-set density x calibrated scan costs)")
-    row("Fig4/KO4", "REM flash/exe", "accel 0.6x host",
-        lambda: f"{_fmt(tr('rem:file_flash'))}x / {_fmt(tr('rem:file_executable'))}x",
-        "emergent")
-    row("Fig4/KO2", "Compression", "accel up to 3.5x",
-        lambda: f"{_fmt(tr('compression:app'))}x / {_fmt(tr('compression:txt'))}x",
-        "anchored")
-
-    exe_curves = {c.label: c for c in fig5_curves["file_executable"]}
-    img_curves = {c.label: c for c in fig5_curves["file_image"]}
-    row("Fig5/KO3", "accel max throughput", "~50 Gb/s cap",
-        lambda: f"{_fmt(exe_curves['snic-accel'].max_achieved_gbps(), 1)} / "
-                f"{_fmt(img_curves['snic-accel'].max_achieved_gbps(), 1)} Gb/s",
-        "anchored (engine rate calibrated)")
-    row("Fig5", "host exe 8-core max", "~78 Gb/s",
-        lambda: f"{_fmt(exe_curves['host-8c'].max_achieved_gbps(), 1)} Gb/s",
-        "emergent")
-    row("Fig5/KO4", "host image p99 wall", "~40 Gb/s",
-        lambda: f"{_fmt(img_curves['host-8c'].max_achieved_gbps(), 1)} Gb/s",
-        "emergent")
-    row("Fig5", "host p99 below knee", "~5.1 us",
-        lambda: f"{min(p.p99_latency_s for p in exe_curves['host-8c'].points)*1e6:.1f} us",
-        "emergent")
-    row("Fig5", "accel p99 at capacity", "~25.1 us",
-        lambda: f"{min(p.p99_latency_s for p in exe_curves['snic-accel'].points)*1e6:.1f} us",
-        "emergent (batching latency)")
-
-    row("Fig6/KO5", "efficiency ratio range", "0.2x - 3.8x",
-        lambda: f"{_fmt(min(r.efficiency_ratio for r in fig6_rows))}x - "
-                f"{_fmt(max(r.efficiency_ratio for r in fig6_rows))}x",
-        "emergent (idle-power arithmetic)")
-    row("Fig6", "fio efficiency", "1.1-1.3x",
-        lambda: f"{_fmt(eff['fio:read'].efficiency_ratio)}x", "emergent")
-    row("Fig6", "REM(image) efficiency", "~2.5x",
-        lambda: f"{_fmt(eff['rem:file_image'].efficiency_ratio)}x", "emergent")
-    row("Fig6", "SHA-1 efficiency", "~1.9x",
-        lambda: f"{_fmt(eff['crypto:sha1'].efficiency_ratio)}x",
-        "deviation (ours higher: host crypto power modeled at full burn)")
-    row("Fig6", "Compression efficiency", "3.4-3.8x",
-        lambda: f"{_fmt(eff['compression:txt'].efficiency_ratio)}x", "emergent")
-    row("Fig6", "idle server / SNIC", "252 W / 29 W",
-        lambda: "252 W / 29 W", "anchored")
-
-    row("Table4", "throughput", "0.76 / 0.76 Gb/s",
-        lambda: f"{_fmt(table4.host.throughput_gbps)} / "
-                f"{_fmt(table4.snic.throughput_gbps)} Gb/s", "emergent")
-    row("Table4", "p99", "5.07 / 17.43 us",
-        lambda: f"{_fmt(table4.host.p99_latency_us)} / "
-                f"{_fmt(table4.snic.p99_latency_us)} us",
-        "emergent (shape: ~3-4x penalty)")
-    row("Table4", "power", "278.3 / 254.5 W",
-        lambda: f"{_fmt(table4.host.average_power_w, 1)} / "
-                f"{_fmt(table4.snic.average_power_w, 1)} W",
-        "emergent (spin + engaged-engine model)")
-
-    by_app = table5.by_application()
-    paper_savings = {"fio": "2.7%", "OVS": "1.7%", "REM": "-2.5%", "Compress": "70.7%"}
-    for app, paper_value in paper_savings.items():
-        row("Table5", f"{app} TCO savings", paper_value,
-            lambda app=app: f"{by_app[app].savings_fraction:.1%}",
-            "emergent (prices anchored; power measured)")
+            measured = _NOT_MEASURED
+        rows.append((anchor.artifact, anchor.quantity, anchor.paper,
+                     measured, anchor.status))
     return rows
 
 
@@ -236,7 +116,7 @@ def render_profile_section(profiles: Sequence, top_n: int = 10) -> List[str]:
     return lines
 
 
-def render_report(anchor_rows: Sequence[AnchorRow], verdict_text: str,
+def render_report(anchor_rows: Sequence[Tuple[str, ...]], verdict_text: str,
                   table5_text: str, fig7_stats: Dict[str, float],
                   faults_text: Optional[str] = None,
                   attribution_text: Optional[str] = None,
@@ -285,10 +165,7 @@ def render_report(anchor_rows: Sequence[AnchorRow], verdict_text: str,
         "|---|---|---|---|---|",
     ]
     for row in anchor_rows:
-        lines.append(
-            f"| {row.artifact} | {row.quantity} | {row.paper} | "
-            f"{row.measured} | {row.status} |"
-        )
+        lines.append(f"| {' | '.join(row)} |")
     lines += [
         "",
         "## Key Observations",
@@ -413,8 +290,10 @@ def generate_report(
     cluster_text = (cluster.notice() if isinstance(cluster, PartialResult)
                     else format_cluster(cluster))
 
-    anchor_rows = collect_anchor_rows(fig4_rows, fig6_rows, fig5_curves,
-                                      table4, table5)
+    anchor_rows = collect_anchor_rows({
+        "fig4": fig4_rows, "fig5": fig5_curves, "fig6": fig6_rows,
+        "table4": table4, "table5": table5,
+    })
     # Supervised runs expose per-unit profiles; a plain executor has no
     # `unit_profiles` attribute and the section is simply omitted (so the
     # checked-in EXPERIMENTS.md, generated unsupervised, is unchanged).

@@ -235,15 +235,11 @@ def _run_fixed_rate(
         raise MeasurementError(f"{profile.key} does not run on {platform}")
 
     rng = streams.stream(f"{profile.key}:{platform}:{rate:.6g}")
-    calibration = PLATFORMS[platform]
     services = cpu_service_seconds(profile, platform)
     cores = cpu_cores(profile, platform)
     nic_cap = _nic_cap_rps(profile)
     effective_rate = min(rate, nic_cap)
-    queue_limit = QUEUE_LIMIT_S
-    if profile.stack is not None:
-        queue_limit = calibration.stacks[profile.stack].queue_limit_s
-    queue_limit = max(queue_limit, QUEUE_LIMIT_SERVICES * float(np.mean(services)))
+    queue_limit = _cpu_queue_limit(profile, platform, services)
 
     def sampler(sampler_rng: np.random.Generator, n: int) -> np.ndarray:
         return sampler_rng.choice(services, size=n)
@@ -262,6 +258,12 @@ def _run_fixed_rate(
     return metrics
 
 
+def _stack_calibration(platform: str):
+    """The platform whose stack costs a request on ``platform`` pays: the
+    accelerator path is fed by the SNIC CPU's stack."""
+    return PLATFORMS["snic-cpu" if platform == ACCEL_PLATFORM else platform]
+
+
 def _add_fixed_latency(outcome, profile, platform, rng):
     n = len(outcome.sojourns)
     if n == 0:
@@ -269,8 +271,7 @@ def _add_fixed_latency(outcome, profile, platform, rng):
     extra = np.zeros(n)
     stack = profile.stack
     if stack is not None:
-        calibration = PLATFORMS[platform] if platform != ACCEL_PLATFORM else PLATFORMS["snic-cpu"]
-        cost = calibration.stacks[stack]
+        cost = _stack_calibration(platform).stacks[stack]
         extra = extra + base_rtt_sampler(cost)(rng, n)
     adder = profile.latency_extra.get(platform, 0.0)
     # add_component keeps sojourns and the attribution arrays in sync.
@@ -290,13 +291,7 @@ def _run_accelerator(
     engine = ACCELERATORS[profile.accel_engine]
     per_item = accel_per_item_seconds(profile)
 
-    # Staging: SNIC CPU cores feed the engine over DPDK (§3.4).  They cap
-    # the submission rate but their per-packet time is tiny.
-    staging_cap = float("inf")
-    if profile.stack is not None:
-        snic = PLATFORMS["snic-cpu"]
-        staging_per_packet = snic.stack_seconds(profile.stack, int(profile.wire_bytes))
-        staging_cap = engine.staging_cores / staging_per_packet
+    staging_cap = _staging_cap_rps(profile)
     nic_cap = _nic_cap_rps(profile)
     effective_rate = min(rate, staging_cap, nic_cap)
 
@@ -341,9 +336,7 @@ def _stack_rtt_floor(profile: FunctionProfile, platform: str) -> tuple:
     adder = profile.latency_extra.get(platform, 0.0)
     if stack is None:
         return adder, adder
-    calibration = (PLATFORMS[platform] if platform != ACCEL_PLATFORM
-                   else PLATFORMS["snic-cpu"])
-    cost = calibration.stacks[stack]
+    cost = _stack_calibration(platform).stacks[stack]
     return cost.base_rtt_mean_s + adder, cost.base_rtt_p99_s + adder
 
 
@@ -464,13 +457,17 @@ def _shared_rtt(profile, platform, rng, n_requests) -> np.ndarray:
     extra = np.zeros(n_requests)
     stack = profile.stack
     if stack is not None:
-        calibration = (PLATFORMS[platform] if platform != ACCEL_PLATFORM
-                       else PLATFORMS["snic-cpu"])
-        extra = extra + base_rtt_sampler(calibration.stacks[stack])(rng, n_requests)
+        cost = _stack_calibration(platform).stacks[stack]
+        extra = extra + base_rtt_sampler(cost)(rng, n_requests)
     return extra + profile.latency_extra.get(platform, 0.0)
 
 
 def _staging_cap_rps(profile: FunctionProfile) -> float:
+    """Submission-rate cap of the accelerator's staging cores.
+
+    SNIC CPU cores feed the engine over DPDK (§3.4).  They cap the
+    submission rate but their per-packet time is tiny.
+    """
     staging_cap = float("inf")
     if profile.stack is not None:
         snic = PLATFORMS["snic-cpu"]

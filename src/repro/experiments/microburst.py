@@ -16,7 +16,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.executor import ParallelExecutor, WorkUnit
-from ..core.queueing import outcome_to_metrics, simulate_batch_server, simulate_sharded
+from ..core.queueing import (
+    QueueOutcome,
+    bounded_waits_reference,
+    outcome_to_metrics,
+)
 from ..core.rng import RandomStreams
 from ..core.units import gbps_to_bytes_per_second
 from ..calibration import ACCELERATORS, PLATFORMS
@@ -98,8 +102,6 @@ def _measure(
         engine = ACCELERATORS[profile.accel_engine]
         per_item = accel_per_item_seconds(profile)
         # batch simulation over explicit arrivals
-        from ..core.queueing import QueueOutcome
-
         sojourns = np.empty(n_requests)
         services = np.full(n_requests, per_item)
         free_at = 0.0
@@ -127,26 +129,14 @@ def _measure(
         calibration = PLATFORMS[platform]
         limit = calibration.stacks[profile.stack].queue_limit_s if profile.stack else 2e-3
         # shard the bursty arrivals round-robin
-        shard_gaps = gaps * cores  # thinned stream approximation
-        from ..core.queueing import QueueOutcome
-
+        shard_arrivals = np.cumsum(gaps * cores)  # thinned stream approximation
         service_draw = rng.choice(services, size=n_requests)
-        kept_s, kept_a, dropped = [], [], 0
-        backlog, prev = 0.0, 0.0
-        t = 0.0
-        for k in range(n_requests):
-            t += shard_gaps[k]
-            backlog = max(0.0, backlog - (t - prev))
-            prev = t
-            if backlog > limit:
-                dropped += 1
-                continue
-            kept_s.append(backlog + service_draw[k])
-            kept_a.append(t)
-            backlog += service_draw[k]
+        kept, waits, _, _ = bounded_waits_reference(
+            shard_arrivals, service_draw, limit)
+        dropped = n_requests - int(kept.sum())
         outcome = QueueOutcome(
-            sojourns=np.asarray(kept_s), services=service_draw[: len(kept_s)],
-            arrivals=np.asarray(kept_a), dropped=dropped,
+            sojourns=waits + service_draw[kept], services=service_draw[kept],
+            arrivals=shard_arrivals[kept], dropped=dropped,
         )
         outcome = _add_fixed_latency(outcome, profile, platform, rng)
         metrics = outcome_to_metrics(outcome, mean_rate, profile.wire_bytes,

@@ -13,10 +13,10 @@ The telemetry subsystem every experiment reports through:
   and an opt-in localhost ``/metrics`` HTTP endpoint
   (``--metrics-port``) so a long farm run can be scraped live.
 * :mod:`slo` — the SLO burn monitor: evaluates each experiment's
-  p99-vs-SLO targets and EXPERIMENTS.md anchor bands as metrics during
-  a run, emitting structured warnings (and a non-verdict ``slo`` block
-  in the JSON envelope) on drift.  Drift never changes an exit code or
-  verdict.
+  bands from the anchor ledger (:mod:`repro.analysis.anchors`, one band
+  per paper anchor) as metrics during a run, emitting structured
+  warnings (and a non-verdict ``slo`` block in the JSON envelope) on
+  drift.  Drift never changes an exit code or verdict.
 
 Fleet progress rendering lives with the run farm in
 :mod:`repro.runfarm.status` (the ``repro status`` verb).

@@ -1,74 +1,41 @@
-"""SLO burn monitor: is this run drifting off its anchors and SLOs?
+"""SLO burn monitor: is this run drifting off the paper's anchors?
 
-Every registered experiment has headline quantities the paper (and
-EXPERIMENTS.md) anchor: throughput ratios, efficiency ratios, p99
-latencies, TCO savings.  This module evaluates them *during* a run —
-each successful ``ctx.run(name)`` result is checked against a band
-derived from the measured values recorded in EXPERIMENTS.md (``anchor``
-targets) or against an absolute p99 ceiling (``p99-slo`` targets) — and:
-
-* records each measurement as a ``slo.<experiment>.<target>`` gauge
-  (so it lands in ``--metrics-out`` exposition and live scrapes);
-* counts evaluations and breaches (``slo.evaluated``/``slo.breaches``);
-* logs a structured warning per breach on the ``repro.slo`` logger
-  (downgraded to *info* at smoke fidelity, where low sample counts make
-  drift expected rather than alarming);
-* surfaces the findings as a non-verdict ``slo`` block in the ``--json``
-  artifact envelope.
+Each successful ``ctx.run(name)`` result is checked against every band
+of the anchor ledger (:mod:`repro.analysis.anchors`) that reads
+experiment ``name``.  Each measurement becomes a
+``slo.<experiment>.<band id>`` gauge; ``slo.evaluated``/``slo.breaches``
+count totals; each breach logs a structured warning on the
+``repro.slo`` logger (info at smoke fidelity, where low sample counts
+make drift expected); and the findings form a non-verdict ``slo`` block
+in the ``--json`` artifact envelope.
 
 **Drift never changes a verdict or an exit code.**  The Key-Observation
-gates remain the only science gates; this is an early-warning channel
-for operators watching long runs, not a second judge.
-
-Bands are deliberately generous (roughly ±30-40% around the measured
-default-fidelity values): they should stay quiet on any healthy run of
-the current model and fire only when a code or calibration change moves
-a headline quantity materially.
+gates remain the only science gates.  The bands are the ones the tier-1
+anchor tests assert, so a default-fidelity run of a healthy model
+evaluates with zero breaches.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
+from ..analysis import anchors
 from . import metrics
 
 logger = logging.getLogger("repro.slo")
-
-ANCHOR = "anchor"    # band around an EXPERIMENTS.md measured value
-P99_SLO = "p99-slo"  # absolute ceiling on a tail-latency quantity
 
 EVALUATED = "slo.evaluated"
 BREACHES = "slo.breaches"
 
 
 @dataclass(frozen=True)
-class SloTarget:
-    """One quantity to watch: an extractor plus its allowed band."""
-
-    name: str
-    kind: str  # ANCHOR | P99_SLO
-    description: str
-    extract: Callable[[Any], Optional[float]]
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-
-    def check(self, measured: float) -> bool:
-        if self.lo is not None and measured < self.lo:
-            return False
-        if self.hi is not None and measured > self.hi:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
 class SloFinding:
-    """One evaluated target: the measurement and whether it is in band."""
+    """One evaluated band: the measurement and whether it is in band."""
 
     experiment: str
-    target: str
-    kind: str
+    target: str  # the ledger band id
     description: str
     measured: float
     lo: Optional[float]
@@ -83,167 +50,29 @@ class SloFinding:
                 f"[{lo}, {hi}] {state} ({self.description})")
 
 
-# -- extractors --------------------------------------------------------------
-# All defensive: a missing key (smoke subsets), attribute, or row simply
-# yields None and the target is skipped — observability never breaks a run.
-
-
-def _fig4(key: str, attr: str) -> Callable[[Any], Optional[float]]:
-    def extract(rows: Any) -> Optional[float]:
-        for row in rows:
-            if getattr(row, "key", None) == key:
-                return float(getattr(row, attr))
-        return None
-    return extract
-
-
-def _fig6(key: str) -> Callable[[Any], Optional[float]]:
-    def extract(rows: Any) -> Optional[float]:
-        for row in rows:
-            if getattr(row, "key", None) == key:
-                return float(row.efficiency_ratio)
-        return None
-    return extract
-
-
-def _fig5_max_gbps(ruleset: str, label: str) -> Callable[[Any], Optional[float]]:
-    def extract(figure: Any) -> Optional[float]:
-        for curve in figure.get(ruleset, ()):
-            if curve.label == label:
-                return float(curve.max_achieved_gbps())
-        return None
-    return extract
-
-
-def _fig5_p99_floor_us(ruleset: str, label: str
-                       ) -> Callable[[Any], Optional[float]]:
-    def extract(figure: Any) -> Optional[float]:
-        for curve in figure.get(ruleset, ()):
-            if curve.label == label and curve.points:
-                return min(p.p99_latency_s for p in curve.points) * 1e6
-        return None
-    return extract
-
-
-def _table4(cell: str, attr: str) -> Callable[[Any], Optional[float]]:
-    def extract(result: Any) -> Optional[float]:
-        return float(getattr(getattr(result, cell), attr))
-    return extract
-
-
-def _table5_savings(app: str) -> Callable[[Any], Optional[float]]:
-    def extract(result: Any) -> Optional[float]:
-        comparison = result.by_application().get(app)
-        if comparison is None:
-            return None
-        return float(comparison.savings_fraction)
-    return extract
-
-
-# -- the target table --------------------------------------------------------
-# Bands bracket the measured default-fidelity values in EXPERIMENTS.md;
-# p99-slo ceilings sit well above the measured tails but below anything a
-# broken queueing model would produce.
-
-TARGETS: Dict[str, Tuple[SloTarget, ...]] = {
-    "fig4": (
-        SloTarget("udp64_throughput_ratio", ANCHOR,
-                  "UDP micro (64B) SNIC/host throughput ratio "
-                  "(measured ~0.18: 82% lower on the SNIC kernel stack)",
-                  _fig4("udp:64", "throughput_ratio"), lo=0.10, hi=0.30),
-        SloTarget("sha1_throughput_ratio", ANCHOR,
-                  "SHA-1 accelerator speedup over host (measured ~1.84x)",
-                  _fig4("crypto:sha1", "throughput_ratio"), lo=1.4, hi=2.4),
-        SloTarget("rem_image_throughput_ratio", ANCHOR,
-                  "REM file_image accelerator speedup (measured ~1.73x)",
-                  _fig4("rem:file_image", "throughput_ratio"),
-                  lo=1.3, hi=2.3),
-        SloTarget("compression_txt_throughput_ratio", ANCHOR,
-                  "Compression (txt) accelerator speedup (measured ~2.86x)",
-                  _fig4("compression:txt", "throughput_ratio"),
-                  lo=2.2, hi=3.6),
-        SloTarget("udp64_p99_ratio", P99_SLO,
-                  "UDP micro SNIC/host p99 penalty must stay under 4x",
-                  _fig4("udp:64", "p99_ratio"), hi=4.0),
-        SloTarget("rdma1024_p99_ratio", P99_SLO,
-                  "RDMA micro p99 on the SNIC must not exceed the host's",
-                  _fig4("rdma:1024", "p99_ratio"), hi=1.05),
-    ),
-    "fig6": (
-        SloTarget("rem_image_efficiency_ratio", ANCHOR,
-                  "REM file_image energy-efficiency ratio (measured ~2.40x)",
-                  _fig6("rem:file_image"), lo=1.9, hi=3.1),
-        SloTarget("compression_txt_efficiency_ratio", ANCHOR,
-                  "Compression (txt) energy-efficiency ratio "
-                  "(measured ~3.45x)",
-                  _fig6("compression:txt"), lo=2.8, hi=4.2),
-    ),
-    "fig5": (
-        SloTarget("accel_capacity_gbps", ANCHOR,
-                  "regex accelerator throughput cap (engine calibrated "
-                  "to ~50 Gb/s)",
-                  _fig5_max_gbps("file_executable", "snic-accel"),
-                  lo=45.0, hi=55.0),
-        SloTarget("host8c_p99_floor_us", P99_SLO,
-                  "host 8-core p99 below the knee (measured ~5.7 us) must "
-                  "stay under 9 us",
-                  _fig5_p99_floor_us("file_executable", "host-8c"), hi=9.0),
-        SloTarget("accel_p99_floor_us", P99_SLO,
-                  "accelerator p99 at capacity (batching latency, measured "
-                  "~23.5 us) must stay under 35 us",
-                  _fig5_p99_floor_us("file_executable", "snic-accel"),
-                  hi=35.0),
-    ),
-    "table4": (
-        SloTarget("host_p99_us", P99_SLO,
-                  "OVS host p99 (measured 5.61 us, paper 5.07) must stay "
-                  "under 9 us",
-                  _table4("host", "p99_latency_us"), hi=9.0),
-        SloTarget("snic_p99_us", P99_SLO,
-                  "OVS SNIC p99 (measured 22.86 us, paper 17.43) must stay "
-                  "under 35 us",
-                  _table4("snic", "p99_latency_us"), hi=35.0),
-        SloTarget("snic_power_w", ANCHOR,
-                  "OVS-offloaded server power (measured ~254.5 W)",
-                  _table4("snic", "average_power_w"), lo=230.0, hi=280.0),
-    ),
-    "table5": (
-        SloTarget("compress_savings_fraction", ANCHOR,
-                  "Compression TCO savings (measured ~0.66, paper 0.707)",
-                  _table5_savings("Compress"), lo=0.50, hi=0.85),
-    ),
-}
-
-
-def targets_for(experiment: str) -> Tuple[SloTarget, ...]:
-    return TARGETS.get(experiment, ())
-
-
 def evaluate(experiment: str, result: Any) -> List[SloFinding]:
-    """Check every target of ``experiment`` against ``result``.
+    """Check every ledger band of ``experiment`` against ``result``.
 
-    Targets whose extractor returns ``None`` (smoke subsets dropped the
-    key) or raises (result shape changed) are skipped, not failed.
+    Bands whose extractor raises (a smoke subset dropped the key, or the
+    result shape changed) are skipped, not failed.
     """
     findings: List[SloFinding] = []
-    for target in targets_for(experiment):
+    for anchor, band in anchors.bands(experiment):
         try:
-            measured = target.extract(result)
+            measured = band.extract(result)
         except Exception:  # noqa: BLE001 — observability must not break runs
-            logger.debug("slo extractor %s.%s failed", experiment,
-                         target.name, exc_info=True)
-            continue
-        if measured is None:
+            logger.debug("slo extractor %s.%s failed", experiment, band.id,
+                         exc_info=True)
             continue
         findings.append(SloFinding(
             experiment=experiment,
-            target=target.name,
-            kind=target.kind,
-            description=target.description,
+            target=band.id,
+            description=(f"{anchor.artifact} {anchor.quantity}, "
+                         f"paper {anchor.paper}, {band.section}"),
             measured=measured,
-            lo=target.lo,
-            hi=target.hi,
-            ok=target.check(measured),
+            lo=band.lo,
+            hi=band.hi,
+            ok=band.holds(measured),
         ))
     return findings
 
@@ -284,8 +113,7 @@ def block(findings: Sequence[SloFinding]) -> Optional[Dict[str, Any]]:
         "breaches": sum(1 for f in findings if not f.ok),
         "targets": [
             {
-                "name": f.target,
-                "kind": f.kind,
+                "id": f.target,
                 "measured": f.measured,
                 "lo": f.lo,
                 "hi": f.hi,

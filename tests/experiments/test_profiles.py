@@ -264,9 +264,14 @@ class TestBuilderMemory:
 
 
 def _canonical(value):
-    """A hashable, repr-stable form of one profile field."""
+    """A hashable, repr-stable form of one profile field.
+
+    A ``WorkUnits`` tally keeps its insertion order: ``Platform.work_seconds``
+    sums per-kind costs in that order, so reordering kinds can move a
+    priced service time in its last bits.
+    """
     if isinstance(value, WorkUnits):
-        return tuple(sorted(value.items()))
+        return tuple(value.items())
     if isinstance(value, dict):
         return tuple(sorted((k, _canonical(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):
@@ -286,7 +291,7 @@ class TestPinnedProfiles:
     """
 
     SAMPLES = 200  # the CLI's default --samples
-    DIGEST = "e722b12dd4064cf5041af4a7e2e7a6e1460aae3c08920b85afc2ea861f80ef2f"
+    DIGEST = "4633861cd38e3e17373487f7d37f3f64fee58d5c8e4d98e776ece3ef7d0d7f70"
 
     def test_every_profile_matches_the_pinned_digest(self):
         digest = hashlib.sha256()
@@ -302,3 +307,7 @@ class TestPinnedProfiles:
             f"CODE_VERSION (now {CODE_VERSION}) in repro/core/cache.py so "
             "stale --cache-dir profiles are not reused, and re-pin DIGEST"
         )
+
+    def test_digest_sees_the_order_of_work_kinds(self):
+        reordered = WorkUnits({"b": 2.0, "a": 1.0})
+        assert _canonical(WorkUnits({"a": 1.0, "b": 2.0})) != _canonical(reordered)
